@@ -16,7 +16,6 @@ from .templates import (
     BraidingAssignment,
     Flype,
     InconsistentCorrespondence,
-    TemplateError,
     builtin_template,
     instantiate,
     parse_template_description,
@@ -199,9 +198,7 @@ def _cmd_flype(args: argparse.Namespace) -> int:
             )
         plus = instantiate(template.plus, assignment)
         minus = instantiate(template.minus, assignment)
-    except NotImplementedError as exc:
-        raise UsageError(str(exc)) from None
-    except TemplateError as exc:
+    except (NotImplementedError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     try:
         table = per_component_beta_delta(template, assignment)
@@ -388,7 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

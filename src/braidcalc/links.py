@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .burau import Laurent, burau_matrix, determinant
+from .burau import Laurent, burau_matrix, determinant, trace
 from .words import BraidWord
 
 __all__ = [
@@ -95,20 +95,30 @@ def linking_matrix(word: BraidWord) -> LinkingMatrix:
     return LinkingMatrix(cycles, tuple(tuple(row) for row in entries))
 
 
+_ONE = Laurent.one()
+
+
 def alexander_polynomial(word: BraidWord) -> Laurent:
     """Alexander polynomial of the closure, via the reduced Burau matrix.
 
-    Normalized to minimum degree 0 with positive top coefficient; the
-    zero polynomial is returned as such (split links).
+    det(B - I) divided by 1 + t + ... + t^(n-1).  For three strands B is
+    2x2, so det(B - I) = 1 - tr B + det B with det B = (-t)^e in closed
+    form; other strand counts take the Bareiss determinant.  Normalized
+    to minimum degree 0 with positive top coefficient; the zero
+    polynomial is returned as such (split links).
     """
     m = burau_matrix(word)
     size = word.strands - 1
-    shifted = tuple(
-        tuple(m[i][j] - (Laurent.one() if i == j else Laurent.zero()) for j in range(size))
-        for i in range(size)
-    )
-    det = determinant(shifted)
+    if size == 2:
+        e = word.exponent_sum()
+        det = _ONE - trace(m) + Laurent.term(-1 if e % 2 else 1, e)
+    else:
+        shifted = tuple(
+            tuple(m[i][j] - (_ONE if i == j else Laurent.zero()) for j in range(size))
+            for i in range(size)
+        )
+        det = determinant(shifted)
     if det.is_zero():
         return det
-    cyclotomic_like = Laurent.from_dict({k: 1 for k in range(word.strands)})
+    cyclotomic_like = Laurent(0, (1,) * word.strands)
     return det.divexact(cyclotomic_like).unit_normalized()

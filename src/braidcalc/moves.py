@@ -261,16 +261,21 @@ def _move_to_obj(move: Move) -> dict:
 
 
 def _move_from_obj(obj: dict, strands: int) -> Move:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a move must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "stabilize":
-        return Stabilize(int(obj["sign"]))
-    if kind == "destabilize":
-        return Destabilize(int(obj["sign"]))
-    if kind == "conjugate":
-        return ConjugateBy(parse_word(obj["conjugator"], default_strands=strands))
-    if kind == "exchange":
-        i, j = obj["split"]
-        return Exchange((int(i), int(j)))
+    try:
+        if kind == "stabilize":
+            return Stabilize(int(obj["sign"]))
+        if kind == "destabilize":
+            return Destabilize(int(obj["sign"]))
+        if kind == "conjugate":
+            return ConjugateBy(parse_word(obj["conjugator"], default_strands=strands))
+        if kind == "exchange":
+            i, j = obj["split"]
+            return Exchange((int(i), int(j)))
+    except (TypeError, AttributeError):
+        raise ValueError(f"malformed {kind} move {obj!r}") from None
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -288,6 +293,11 @@ def tower_to_json(tower: MarkovTower) -> str:
 def tower_from_json(text: str) -> MarkovTower:
     """Rebuild a tower from its JSON description by replaying the moves."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a tower description must be a JSON object")
+    for key, kind in (("initial_word", str), ("moves", list), ("mode", str)):
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{key!r} must be a JSON {'array' if kind is list else 'string'}")
     initial = parse_word(obj["initial_word"])
     moves: list[Move] = []
     word = initial

@@ -2,14 +2,32 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from braidcalc.burau import Laurent, burau_matrix, determinant, identity_matrix, mat_mul, trace
+from braidcalc.burau import Laurent, burau_matrix, determinant, trace
 from braidcalc.words import parse_word
 
 from conftest import braid_words
 
 T = Laurent.term(1, 1)
 ONE = Laurent.one()
+
+
+def _identity(size):
+    return tuple(
+        tuple(ONE if i == j else Laurent.zero() for j in range(size)) for i in range(size)
+    )
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(size)), Laurent.zero())
+            for j in range(size)
+        )
+        for i in range(size)
+    )
 
 
 def test_laurent_arithmetic():
@@ -31,6 +49,8 @@ def test_divexact():
     assert num.divexact(den) == Laurent.from_dict({2: 1, 1: -1, 0: 1})
     with pytest.raises(ValueError):
         Laurent.from_dict({1: 1}).divexact(den)
+    with pytest.raises(ValueError):
+        Laurent.from_dict({2: 1, 0: 1}).divexact(den)  # remainder 2
     shifted = num.shift(-2)
     assert shifted.divexact(den) == Laurent.from_dict({0: 1, -1: -1, -2: 1})
 
@@ -64,15 +84,15 @@ def test_inverses_multiply_to_identity():
         w = parse_word(f"n=3 {text}")
         a = burau_matrix(w)
         b = burau_matrix(w.inverse())
-        assert mat_mul(a, b) == identity_matrix(2)
+        assert _mat_mul(a, b) == _identity(2)
 
 
 def test_burau_is_a_homomorphism_frozen():
     w = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
-    by_letters = identity_matrix(2)
+    by_letters = _identity(2)
     for index, sign in w.letters:
         step = parse_word(f"n=3 s{index}^{sign}")
-        by_letters = mat_mul(by_letters, burau_matrix(step))
+        by_letters = _mat_mul(by_letters, burau_matrix(step))
     assert burau_matrix(w) == by_letters
 
 
@@ -104,7 +124,7 @@ def test_determinant_bareiss_frozen():
 @given(braid_words(min_strands=2, max_strands=4, max_length=8))
 def test_burau_respects_inverse(w):
     size = w.strands - 1
-    assert mat_mul(burau_matrix(w), burau_matrix(w.inverse())) == identity_matrix(size)
+    assert _mat_mul(burau_matrix(w), burau_matrix(w.inverse())) == _identity(size)
 
 
 @given(braid_words(min_strands=3, max_strands=3, max_length=8))
@@ -113,9 +133,79 @@ def test_trace_is_conjugation_invariant(w):
     assert trace(burau_matrix(w.conjugated_by(g))) == trace(burau_matrix(w))
 
 
-def test_eval_mod():
-    p = Laurent.from_dict({-1: 1, 2: 3})
-    modulus = 2**61 - 1
-    t = 7
-    expect = (pow(7, -1, modulus) + 3 * 49) % modulus
-    assert p.eval_mod(t, modulus) == expect
+
+# Reference arithmetic on {power: coeff} dicts with zero coefficients dropped.
+def _ref(d):
+    return {p: c for p, c in d.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = out.get(p, 0) + sign * c
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
+    return _ref(out)
+
+
+def _ref_pairs(d):
+    return tuple(sorted(_ref(d).items()))
+
+
+def _ref_str(d):
+    if not _ref(d):
+        return "0"
+    parts = []
+    for p, c in _ref_pairs(d):
+        var = "" if p == 0 else "t" if p == 1 else f"t^{p}"
+        if not var:
+            body = str(abs(c))
+        else:
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+        parts.append(("-" if c < 0 else "+", body))
+    head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return " ".join([head] + [f"{s} {b}" for s, b in parts[1:]])
+
+
+polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6), st.integers(min_value=-4, max_value=4), max_size=8
+)
+
+
+def _assert_matches(poly, ref):
+    """``poly`` is in canonical dense form and has the terms of ``ref``."""
+    if poly.coeffs:
+        assert poly.coeffs[0] != 0 and poly.coeffs[-1] != 0
+    else:
+        assert poly.low == 0
+    assert poly.pairs == _ref_pairs(ref)
+
+
+@given(polys, polys, st.integers(min_value=-5, max_value=5))
+def test_dense_laurent_matches_dict_reference(a, b, k):
+    p, q = Laurent.from_dict(a), Laurent.from_dict(b)
+    _assert_matches(p, a)
+    assert str(p) == _ref_str(a)
+    assert p.is_zero() == (not _ref(a))
+    _assert_matches(p + q, _ref_add(a, b))
+    _assert_matches(p - q, _ref_add(a, b, -1))
+    _assert_matches(-p, {e: -c for e, c in a.items()})
+    _assert_matches(p * q, _ref_mul(a, b))
+    _assert_matches(p.shift(k), {e + k: c for e, c in a.items()})
+    assert all(p.coeff(e) == a.get(e, 0) for e in range(-8, 9))
+    if not _ref(a):
+        assert p.unit_normalized() == p
+        return
+    low, high = min(_ref(a)), max(_ref(a))
+    assert (p.min_degree(), p.max_degree()) == (low, high)
+    top = _ref(a)[high]
+    _assert_matches(p.unit_normalized(), {e - low: (c if top > 0 else -c) for e, c in _ref(a).items()})
+    if _ref(b):
+        assert (p * q).divexact(q) == p
+        assert (p * q).divexact(p) == q

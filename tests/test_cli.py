@@ -130,6 +130,35 @@ def test_tower_validate(capsys, tmp_path):
     assert code == 2 and err.startswith("error: bad tower description")
 
 
+TOWER_HEAD = '"initial_word": "n=3 s1 s2", "mode": "transversal"'
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["flype", "--desc", "{tmp}/missing.json"], {}),
+        (["flype", "--desc", "{tmp}/bad.json"], {"bad.json": "{broken"}),
+        (["certify", "--p", "2", "--q", "4", "--r", "3", "--out", "{tmp}/nodir/x.txt"], {}),
+        (["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": 5, %s}' % TOWER_HEAD}),
+        (["tower-validate", "{tmp}/t.json"], {"t.json": "[]"}),
+        (["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": [5], %s}' % TOWER_HEAD}),
+        (
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize", "sign": [1]}], %s}' % TOWER_HEAD},
+        ),
+    ],
+    ids=["desc-missing", "desc-invalid-json", "out-missing-dir", "tower-moves-not-list",
+         "tower-top-level-array", "tower-move-not-object", "tower-sign-not-int"],
+)
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_certify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "certify", "--p", "2", "--q", "4", "--r", "3")
     assert code == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import given
 
-from braidcalc.burau import Laurent
+from braidcalc.burau import Laurent, burau_matrix, determinant
 from braidcalc.links import alexander_polynomial, components, linking_matrix
 from braidcalc.words import BraidWord, parse_word
 
@@ -82,3 +82,14 @@ def test_self_writhe_and_mixed_sum_to_exponent_sum(w: BraidWord):
 def test_alexander_is_conjugation_invariant(w: BraidWord):
     g = parse_word(f"n={w.strands} s1^2")
     assert alexander_polynomial(w.conjugated_by(g)) == alexander_polynomial(w)
+
+
+@given(braid_words(min_strands=3, max_strands=3, max_length=60))
+def test_three_strand_closed_form_matches_bareiss(w: BraidWord):
+    m = burau_matrix(w)
+    one, zero = Laurent.one(), Laurent.zero()
+    b_minus_i = tuple(
+        tuple(m[i][j] - (one if i == j else zero) for j in range(2)) for i in range(2)
+    )
+    expected = determinant(b_minus_i).divexact(Laurent.from_dict({0: 1, 1: 1, 2: 1}))
+    assert alexander_polynomial(w) == expected.unit_normalized()
