@@ -9,12 +9,12 @@ exclusion step and accumulate into a machine-readable verdict.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
 from .b3 import (
-    GenericUnique,
     TorusKnot2k,
     UnknotClass,
     classify_closure,
@@ -78,6 +78,15 @@ class ObstructionChecks:
 
 @dataclass(frozen=True)
 class CertificationChecks:
+    """Every exclusion check, in the order the verdict consults them.
+
+    The field order is the only list of checks.  The verdict names the
+    first failing one without its ``_ok`` (``conditions`` adds its first
+    violation); ``obstruction`` fails when no swap is detected.  The text
+    and JSON reports walk the same fields.  ``beta_plus`` and
+    ``beta_minus`` are data, not checks.
+    """
+
     conditions_ok: bool
     beta_plus: int
     beta_minus: int
@@ -122,6 +131,7 @@ def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
     return instantiate(template.plus, assignment), instantiate(template.minus, assignment)
 
 
+@functools.cache
 def _obstruction_checks() -> ObstructionChecks:
     template = builtin_template(Flype(-1))
     assignment = BraidingAssignment.from_mapping(
@@ -130,9 +140,6 @@ def _obstruction_checks() -> ObstructionChecks:
     table = tuple(per_component_beta_delta(template, assignment))
     swap = any(bp != bm for _, bp, bm in table)
     return ObstructionChecks(OBSTRUCTION_ASSIGNMENT, table, swap)
-
-
-_OBSTRUCTION_CACHE: List[ObstructionChecks] = []
 
 
 def certify(params: FamilyParams) -> CertificationReport:
@@ -149,8 +156,6 @@ def certify(params: FamilyParams) -> CertificationReport:
     expected_beta = 2 * params.p + 2 * params.q + 2 * params.r - 3
     class_plus = classify_closure(tx_plus)
     class_minus = classify_closure(tx_minus)
-    if not _OBSTRUCTION_CACHE:
-        _OBSTRUCTION_CACHE.append(_obstruction_checks())
     checks = CertificationChecks(
         conditions_ok=not violations,
         beta_plus=beta_plus,
@@ -165,26 +170,25 @@ def certify(params: FamilyParams) -> CertificationReport:
         kolee_single_sign=not kolee_both_signs(
             2 * params.p + 1, 2 * params.q, 2 * params.r, -1
         ),
-        obstruction=_OBSTRUCTION_CACHE[0],
+        obstruction=_obstruction_checks(),
     )
-    verdict = VERDICT_CERTIFIED
-    if violations:
-        verdict = f"FAILED(conditions: {violations[0]})"
-    elif not checks.beta_formula_ok:
-        verdict = "FAILED(beta_formula)"
-    elif not checks.alexander_equal:
-        verdict = "FAILED(alexander_equal)"
-    elif not checks.conjugacy_distinct:
-        verdict = "FAILED(conjugacy_distinct)"
-    elif not checks.not_unknot:
-        verdict = "FAILED(not_unknot)"
-    elif not checks.not_torus:
-        verdict = "FAILED(not_torus)"
-    elif not checks.kolee_single_sign:
-        verdict = "FAILED(kolee_single_sign)"
-    elif not checks.obstruction.swap_detected:
-        verdict = "FAILED(obstruction)"
-    return CertificationReport(params, tx_plus, tx_minus, checks, verdict)
+    return CertificationReport(params, tx_plus, tx_minus, checks, verdict(params, checks))
+
+
+def _field_values(obj) -> Dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def verdict(params: FamilyParams, checks: CertificationChecks) -> str:
+    """FAILED naming the first failing check in field order, else CERTIFIED."""
+    for name, value in _field_values(checks).items():
+        if isinstance(value, ObstructionChecks):
+            value = value.swap_detected
+        if value is False:  # the betas are ints, never False
+            if name == "conditions_ok":
+                return f"FAILED(conditions: {params.violations()[0]})"
+            return f"FAILED({name.removesuffix('_ok')})"
+    return VERDICT_CERTIFIED
 
 
 def sweep(p_max: int, q_max: int, r_max: int) -> List[CertificationReport]:
@@ -202,30 +206,38 @@ def sweep(p_max: int, q_max: int, r_max: int) -> List[CertificationReport]:
 
 
 def report_to_dict(report: CertificationReport) -> Dict:
-    checks = report.checks
+    checks = _field_values(report.checks)
+    obstruction = report.checks.obstruction
+    checks["obstruction"] = {
+        "assignment": dict(obstruction.assignment),
+        "component_table": [list(row) for row in obstruction.component_table],
+        "swap_detected": obstruction.swap_detected,
+    }
     return {
-        "params": {"p": report.params.p, "q": report.params.q, "r": report.params.r},
+        "params": _field_values(report.params),
         "tx_plus": format_word(report.tx_plus),
         "tx_minus": format_word(report.tx_minus),
-        "checks": {
-            "conditions_ok": checks.conditions_ok,
-            "beta_plus": checks.beta_plus,
-            "beta_minus": checks.beta_minus,
-            "beta_formula_ok": checks.beta_formula_ok,
-            "alexander_equal": checks.alexander_equal,
-            "conjugacy_distinct": checks.conjugacy_distinct,
-            "not_unknot": checks.not_unknot,
-            "not_torus": checks.not_torus,
-            "kolee_single_sign": checks.kolee_single_sign,
-            "obstruction": {
-                "assignment": dict(checks.obstruction.assignment),
-                "component_table": [list(row) for row in checks.obstruction.component_table],
-                "swap_detected": checks.obstruction.swap_detected,
-            },
-        },
+        "checks": checks,
         "verdict": report.verdict,
     }
 
 
 def report_to_json(report: CertificationReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+
+
+def report_lines(report: CertificationReport) -> List[str]:
+    """The text report: one ``name: value`` line per check field."""
+    p = report.params
+    lines = [
+        f"params: p={p.p} q={p.q} r={p.r}",
+        f"tx_plus: {format_word(report.tx_plus)}",
+        f"tx_minus: {format_word(report.tx_minus)}",
+    ]
+    for name, value in _field_values(report.checks).items():
+        if isinstance(value, ObstructionChecks):
+            name, value = "obstruction_swap_detected", value.swap_detected
+        # JSON spelling: true/false for flags, digits for the betas
+        lines.append(f"{name}: {json.dumps(value)}")
+    lines.append(f"verdict: {report.verdict}")
+    return lines

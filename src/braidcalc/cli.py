@@ -6,10 +6,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from dataclasses import asdict
+from typing import Any, List, Optional, Tuple
 
 from .b3 import TorusKnot2k, UnknotClass, classify_closure, normal_form
-from .certify import FamilyParams, certify, report_to_dict, sweep
+from .certify import FamilyParams, certify, report_lines, report_to_dict, sweep
 from .links import components, linking_matrix
 from .moves import tower_from_json, validate_tower
 from .templates import (
@@ -41,10 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _word_argument(text: str, strands: Optional[int]) -> BraidWord:
     try:
         word = parse_word(text)
@@ -53,14 +50,6 @@ def _word_argument(text: str, strands: Optional[int]) -> BraidWord:
         return word
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -76,23 +65,20 @@ def _resolve_format(args: argparse.Namespace) -> str:
     return env
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+# Each verb returns its exit code, its JSON payload and its text lines;
+# main resolves the format only after the verb ran, so a verb's own usage
+# errors take precedence over a bad BRAIDCALC_FORMAT.
+Result = Tuple[int, Any, List[str]]
+
+
+def _cmd_invariants(args: argparse.Namespace) -> Result:
     word = _word_argument(args.word, args.n)
-    e = word.exponent_sum()
-    if _resolve_format(args) == "json":
-        payload = {
-            "word": format_word(word),
-            "e": e,
-            "b": word.strands,
-            "beta": word.bennequin(),
-        }
-        _emit(_dumps(payload), args.out)
-    else:
-        _emit(f"e={e}, b={word.strands}, beta={word.bennequin()}", args.out)
-    return EXIT_OK
+    e, b, beta = word.exponent_sum(), word.strands, word.bennequin()
+    payload = {"word": format_word(word), "e": e, "b": b, "beta": beta}
+    return EXIT_OK, payload, [f"e={e}, b={b}, beta={beta}"]
 
 
-def _cmd_components(args: argparse.Namespace) -> int:
+def _cmd_components(args: argparse.Namespace) -> Result:
     word = _word_argument(args.word, args.n)
     comps = components(word)
     matrix = linking_matrix(word)
@@ -101,23 +87,20 @@ def _cmd_components(args: argparse.Namespace) -> int:
         for i in range(len(matrix.members))
         for j in range(i + 1, len(matrix.members))
     ]
-    if _resolve_format(args) == "json":
-        payload = {
-            "components": [
-                {
-                    "id": c.members[0],
-                    "members": list(c.members),
-                    "e": c.self_writhe,
-                    "b": c.strand_count,
-                    "beta": c.bennequin,
-                }
-                for c in comps
-            ],
-            "linking": [{"a": a, "b": b, "lk": lk} for a, b, lk in pair_rows],
-            "beta_total": word.bennequin(),
-        }
-        _emit(_dumps(payload), args.out)
-        return EXIT_OK
+    payload = {
+        "components": [
+            {
+                "id": c.members[0],
+                "members": list(c.members),
+                "e": c.self_writhe,
+                "b": c.strand_count,
+                "beta": c.bennequin,
+            }
+            for c in comps
+        ],
+        "linking": [{"a": a, "b": b, "lk": lk} for a, b, lk in pair_rows],
+        "beta_total": word.bennequin(),
+    }
     lines = [
         f"component {c.members[0]}: strands {{{','.join(map(str, c.members))}}}, "
         f"e={c.self_writhe}, b={c.strand_count}, beta={c.bennequin}"
@@ -125,61 +108,41 @@ def _cmd_components(args: argparse.Namespace) -> int:
     ]
     lines.extend(f"lk({a},{b}) = {lk}" for a, b, lk in pair_rows)
     lines.append(f"beta_total = {word.bennequin()}")
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_conjugate(args: argparse.Namespace) -> int:
+def _cmd_conjugate(args: argparse.Namespace) -> Result:
     first = _word_argument(args.word1, args.n)
     second = _word_argument(args.word2, args.n)
     if first.strands != 3 or second.strands != 3:
         raise UsageError("conjugate requires three-strand words")
     nf1, nf2 = normal_form(first), normal_form(second)
-    verdict = nf1 == nf2
-    if _resolve_format(args) == "json":
-        payload = {
-            "conjugate": verdict,
-            "normal_form_1": str(nf1),
-            "normal_form_2": str(nf2),
-        }
-        _emit(_dumps(payload), args.out)
-    else:
-        _emit(
-            f"conjugate: {'true' if verdict else 'false'}\n"
-            f"normal_form_1: {nf1}\n"
-            f"normal_form_2: {nf2}",
-            args.out,
-        )
-    return EXIT_OK
+    payload = {"conjugate": nf1 == nf2, "normal_form_1": str(nf1), "normal_form_2": str(nf2)}
+    lines = [
+        f"conjugate: {json.dumps(nf1 == nf2)}",
+        f"normal_form_1: {nf1}",
+        f"normal_form_2: {nf2}",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def _class_payload(result) -> dict:
-    if isinstance(result, UnknotClass):
-        return {"class": "unknot", "tag": list(result.tag)}
-    if isinstance(result, TorusKnot2k):
-        return {"class": "torus", "k": result.k, "mu": result.mu}
-    return {"class": "generic"}
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> Result:
     word = _word_argument(args.word, args.n)
     if word.strands != 3:
         raise UsageError("classify requires a three-strand word")
     result = classify_closure(word)
-    if _resolve_format(args) == "json":
-        _emit(_dumps(_class_payload(result)), args.out)
-        return EXIT_OK
     if isinstance(result, UnknotClass):
+        payload = {"class": "unknot", "tag": list(result.tag)}
         text = f"unknot tag=({result.tag[0]},{result.tag[1]})"
     elif isinstance(result, TorusKnot2k):
+        payload = {"class": "torus", "k": result.k, "mu": result.mu}
         text = f"torus k={result.k} mu={result.mu}"
     else:
-        text = "generic unique"
-    _emit(text, args.out)
-    return EXIT_OK
+        payload, text = {"class": "generic"}, "generic unique"
+    return EXIT_OK, payload, [text]
 
 
-def _cmd_flype(args: argparse.Namespace) -> int:
+def _cmd_flype(args: argparse.Namespace) -> Result:
     try:
         if args.desc is not None:
             with open(args.desc, "r", encoding="utf-8") as handle:
@@ -198,30 +161,22 @@ def _cmd_flype(args: argparse.Namespace) -> int:
             )
         plus = instantiate(template.plus, assignment)
         minus = instantiate(template.minus, assignment)
-    except (NotImplementedError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:
-        table = per_component_beta_delta(template, assignment)
-    except InconsistentCorrespondence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
-    if _resolve_format(args) == "json":
-        payload = {
-            "plus": format_word(plus),
-            "minus": format_word(minus),
-            "table": [list(row) for row in table],
-        }
-        _emit(_dumps(payload), args.out)
-        return EXIT_OK
-    lines = [f"plus:  {format_word(plus)}", f"minus: {format_word(minus)}"]
+    table = per_component_beta_delta(template, assignment)
+    payload = {
+        "plus": format_word(plus),
+        "minus": format_word(minus),
+        "table": [list(row) for row in table],
+    }
+    lines = [f"plus:  {payload['plus']}", f"minus: {payload['minus']}"]
     lines.extend(
         f"component {cid}: beta_plus={bp} beta_minus={bm}" for cid, bp, bm in table
     )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_tower_validate(args: argparse.Namespace) -> int:
+def _cmd_tower_validate(args: argparse.Namespace) -> Result:
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -232,64 +187,27 @@ def _cmd_tower_validate(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"bad tower description: {exc}") from None
     result = validate_tower(tower)
-    counts = result.counts
-    if _resolve_format(args) == "json":
-        payload = {
-            "ok": result.ok,
-            "counts": {
-                "v_plus": counts.v_plus,
-                "v_minus": counts.v_minus,
-                "s_plus": counts.s_plus,
-                "s_minus": counts.s_minus,
-            },
-            "problems": [{"code": code, "step": step} for code, step in result.problems],
-        }
-        _emit(_dumps(payload), args.out)
-    else:
-        lines = [
-            f"ok: {'true' if result.ok else 'false'}",
-            f"v_plus={counts.v_plus} v_minus={counts.v_minus} "
-            f"s_plus={counts.s_plus} s_minus={counts.s_minus}",
-        ]
-        lines.extend(f"problem[step {step}]: {code}" for code, step in result.problems)
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if result.ok else EXIT_CHECK_FAILED
-
-
-def _report_text(report) -> List[str]:
-    checks = report.checks
-
-    def flag(value: bool) -> str:
-        return "true" if value else "false"
-
-    return [
-        f"params: p={report.params.p} q={report.params.q} r={report.params.r}",
-        f"tx_plus: {format_word(report.tx_plus)}",
-        f"tx_minus: {format_word(report.tx_minus)}",
-        f"conditions_ok: {flag(checks.conditions_ok)}",
-        f"beta_plus: {checks.beta_plus}",
-        f"beta_minus: {checks.beta_minus}",
-        f"beta_formula_ok: {flag(checks.beta_formula_ok)}",
-        f"alexander_equal: {flag(checks.alexander_equal)}",
-        f"conjugacy_distinct: {flag(checks.conjugacy_distinct)}",
-        f"not_unknot: {flag(checks.not_unknot)}",
-        f"not_torus: {flag(checks.not_torus)}",
-        f"kolee_single_sign: {flag(checks.kolee_single_sign)}",
-        f"obstruction_swap_detected: {flag(checks.obstruction.swap_detected)}",
-        f"verdict: {report.verdict}",
+    counts = asdict(result.counts)
+    payload = {
+        "ok": result.ok,
+        "counts": counts,
+        "problems": [{"code": code, "step": step} for code, step in result.problems],
+    }
+    lines = [
+        f"ok: {json.dumps(result.ok)}",
+        " ".join(f"{name}={value}" for name, value in counts.items()),
     ]
+    lines.extend(f"problem[step {step}]: {code}" for code, step in result.problems)
+    return (EXIT_OK if result.ok else EXIT_CHECK_FAILED), payload, lines
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Result:
     report = certify(FamilyParams(args.p, args.q, args.r))
-    if _resolve_format(args) == "json":
-        _emit(_dumps(report_to_dict(report)), args.out)
-    else:
-        _emit("\n".join(_report_text(report)), args.out)
-    return EXIT_OK if report.certified else EXIT_CHECK_FAILED
+    code = EXIT_OK if report.certified else EXIT_CHECK_FAILED
+    return code, report_to_dict(report), report_lines(report)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Result:
     p_max = args.p_max if args.p_max is not None else args.max
     q_max = args.q_max if args.q_max is not None else args.max
     r_max = args.r_max if args.r_max is not None else args.max
@@ -299,17 +217,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reports = sweep(p_max, q_max, r_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if _resolve_format(args) == "json":
-        _emit(_dumps([report_to_dict(r) for r in reports]), args.out)
-    else:
-        lines = [
-            f"p={r.params.p} q={r.params.q} r={r.params.r} "
-            f"beta={r.checks.beta_plus} verdict={r.verdict}"
-            for r in reports
-        ]
-        lines.append(f"certified {sum(r.certified for r in reports)}/{len(reports)}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if all(r.certified for r in reports) else EXIT_CHECK_FAILED
+    lines = [
+        f"p={r.params.p} q={r.params.q} r={r.params.r} "
+        f"beta={r.checks.beta_plus} verdict={r.verdict}"
+        for r in reports
+    ]
+    lines.append(f"certified {sum(r.certified for r in reports)}/{len(reports)}")
+    code = EXIT_OK if all(r.certified for r in reports) else EXIT_CHECK_FAILED
+    return code, [report_to_dict(r) for r in reports], lines
 
 
 def _build_parser() -> _Parser:
@@ -384,7 +299,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if _resolve_format(args) == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(lines)
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        return code
+    except InconsistentCorrespondence as exc:
+        # a modeling error in the template, not bad input
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK_FAILED
     except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

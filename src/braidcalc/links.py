@@ -75,7 +75,7 @@ def components(word: BraidWord) -> tuple[ComponentInvariants, ...]:
     """Per-component invariants, sorted by smallest member strand.
 
     >>> [c.bennequin for c in components(BraidWord(3, ((1, 1), (1, 1))))]
-    [-1, -1]
+    [-1, -1, -1]
     """
     cycles, self_writhe, _ = _sweep(word)
     return tuple(

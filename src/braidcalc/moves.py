@@ -298,11 +298,9 @@ def tower_from_json(text: str) -> MarkovTower:
     for key, kind in (("initial_word", str), ("moves", list), ("mode", str)):
         if not isinstance(obj[key], kind):
             raise ValueError(f"{key!r} must be a JSON {'array' if kind is list else 'string'}")
-    initial = parse_word(obj["initial_word"])
+    states = [parse_word(obj["initial_word"])]
     moves: list[Move] = []
-    word = initial
     for raw in obj["moves"]:
-        move = _move_from_obj(raw, word.strands)
-        moves.append(move)
-        word = apply_move(word, move)
-    return tower_from_moves(initial, tuple(moves), obj["mode"])
+        moves.append(_move_from_obj(raw, states[-1].strands))
+        states.append(apply_move(states[-1], moves[-1]))
+    return MarkovTower(obj["mode"], tuple(states), tuple(moves))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .links import components
-from .words import BraidWord, format_word, parse_word
+from .words import BraidWord, parse_word
 
 PORT_FIXED = "fixed"
 PORT_ROTATED = "rotated"
@@ -79,16 +79,10 @@ SkeletonItem = Union[Crossing, BlockSlot]
 
 @dataclass(frozen=True)
 class BlockSkeleton:
-    """An ordered word-with-holes on `strands` strands.
-
-    `weights` is descriptive metadata naming the pre-expansion strand
-    weights of the built-in weighted templates; items are always stored
-    already expanded, so instantiation never consults it.
-    """
+    """An ordered word-with-holes on `strands` strands."""
 
     strands: int
     items: Tuple[SkeletonItem, ...]
-    weights: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.strands < 1:
@@ -110,8 +104,6 @@ class BlockSkeleton:
                 seen.add(item.block_id)
             else:
                 raise TemplateError(f"unknown skeleton item {item!r}")
-        if any(w < 1 for w in self.weights):
-            raise TemplateError("strand weights must be positive")
 
     def block_slots(self) -> Tuple[BlockSlot, ...]:
         return tuple(i for i in self.items if isinstance(i, BlockSlot))
@@ -143,9 +135,6 @@ class BraidingAssignment:
             if bid == block_id:
                 return word
         raise MissingAssignment(f"no braiding assigned to block {block_id!r}")
-
-    def as_mapping(self) -> Dict[str, BraidWord]:
-        return dict(self.words)
 
 
 @dataclass(frozen=True)
@@ -202,10 +191,6 @@ class Flype:
     """Kind tag: turn the middle tangle half a turn past one crossing."""
 
     sign: int
-    w: int = 1
-    w_prime: int = 1
-    k: int = 1
-    k_prime: int = 1
 
 
 TemplateKind = Union[Destabilize, Exchange, Flype]
@@ -239,12 +224,8 @@ def _destabilize_template(kind: Destabilize) -> Template:
     if kind.weight < 1:
         raise WeightConstraintViolation("destabilization weight must be >= 1")
     k = kind.weight + 1
-    plus = BlockSkeleton(
-        k + 1,
-        (BlockSlot("P", 1, k), Crossing(k, kind.sign)),
-        weights=(kind.weight, 1, 1),
-    )
-    minus = BlockSkeleton(k, (BlockSlot("P", 1, k),), weights=(kind.weight, 1))
+    plus = BlockSkeleton(k + 1, (BlockSlot("P", 1, k), Crossing(k, kind.sign)))
+    minus = BlockSkeleton(k, (BlockSlot("P", 1, k),))
     return Template(plus, minus, (("P", PORT_FIXED),))
 
 
@@ -259,7 +240,7 @@ def _exchange_template(kind: Exchange) -> Template:
         down = tuple(Crossing(i, direction) for i in range(w + 1, 1, -1))
         back = tuple(Crossing(i, -direction) for i in range(2, w + 2))
         items = (BlockSlot("P", 1, w + 1),) + down + (BlockSlot("Q", 1, 2),) + back
-        return BlockSkeleton(w + 2, items, weights=(1, w, 1))
+        return BlockSkeleton(w + 2, items)
 
     return Template(side(1), side(-1), (("P", PORT_FIXED), ("Q", PORT_FIXED)))
 
@@ -267,26 +248,13 @@ def _exchange_template(kind: Exchange) -> Template:
 def _flype_template(kind: Flype) -> Template:
     if kind.sign not in (1, -1):
         raise TemplateError(f"flype sign must be +-1, got {kind.sign}")
-    weights = (kind.w, kind.w_prime, kind.k, kind.k_prime)
-    if any(x < 1 for x in weights):
-        raise WeightConstraintViolation("flype weights must be positive")
-    if kind.k_prime - kind.w < 0:
-        raise WeightConstraintViolation(
-            f"flype weights must satisfy k' - w >= 0, got k'={kind.k_prime}, w={kind.w}"
-        )
-    if weights != (1, 1, 1, 1):
-        # a flype of a weighted cable introduces half-twists inside the
-        # cable; that convention is deliberately not modeled
-        raise NotImplementedError("only unit-weight flype templates are supported")
     plus = BlockSkeleton(
         3,
         (BlockSlot("P", 1, 2), BlockSlot("R", 2, 2), BlockSlot("Q", 1, 2), Crossing(2, kind.sign)),
-        weights=(1, 1, 1),
     )
     minus = BlockSkeleton(
         3,
         (BlockSlot("P", 1, 2), Crossing(2, kind.sign), BlockSlot("Q", 1, 2), BlockSlot("R", 2, 2)),
-        weights=(1, 1, 1),
     )
     # the flype carries the middle block R turned half a turn
     port_map = (("P", PORT_FIXED), ("Q", PORT_FIXED), ("R", PORT_ROTATED))
@@ -386,30 +354,31 @@ def per_component_beta_delta(
     ]
 
 
-_KIND_NAMES = {Destabilize: "destabilize", Exchange: "exchange", Flype: "flype"}
-
-
-def format_template_description(kind: TemplateKind, a: BraidingAssignment) -> str:
-    """Serialize a built-in kind plus assignment as a JSON description."""
-    params = {field: getattr(kind, field) for field in kind.__dataclass_fields__}
-    assignment = {bid: format_word(word) for bid, word in a.words}
-    payload = {"kind": _KIND_NAMES[type(kind)], "params": params, "assignment": assignment}
-    return json.dumps(payload, indent=2, sort_keys=True)
+_KINDS = {"destabilize": Destabilize, "exchange": Exchange, "flype": Flype}
 
 
 def parse_template_description(text: str) -> Tuple[TemplateKind, Template, BraidingAssignment]:
-    """Parse a JSON description into (kind, template, assignment)."""
+    """Parse a JSON description into (kind, template, assignment).
+
+    The document is an object with a "kind" name, a "params" object of
+    integers and an "assignment" object mapping block ids to word text.
+    """
     payload = json.loads(text)
-    by_name = {name: cls for cls, name in _KIND_NAMES.items()}
+    if not isinstance(payload, dict):
+        raise TemplateError("a template description must be a JSON object")
+    name = payload.get("kind")
+    if not isinstance(name, str) or name not in _KINDS:
+        raise TemplateError(f"unknown template kind {name!r}")
     try:
-        cls = by_name[payload["kind"]]
-    except KeyError:
-        raise TemplateError(f"unknown template kind {payload.get('kind')!r}") from None
-    try:
-        kind = cls(**payload.get("params", {}))
+        kind = _KINDS[name](**payload.get("params", {}))
     except TypeError as exc:
-        raise TemplateError(f"bad params for {payload['kind']}: {exc}") from None
+        raise TemplateError(f"bad params for {name}: {exc}") from None
+    if not all(isinstance(value, int) for value in vars(kind).values()):
+        raise TemplateError(f"params for {name} must be integers")
+    words = payload.get("assignment", {})
+    if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
+        raise TemplateError("assignment must map block ids to word strings")
     assignment = BraidingAssignment.from_mapping(
-        {bid: parse_word(text) for bid, text in payload.get("assignment", {}).items()}
+        {bid: parse_word(word) for bid, word in words.items()}
     )
     return kind, builtin_template(kind), assignment

@@ -43,12 +43,6 @@ class StrandPermutation:
     def apply(self, position: int) -> int:
         return self.images[position - 1]
 
-    def then(self, other: StrandPermutation) -> StrandPermutation:
-        """Composite that applies ``self`` first, then ``other``."""
-        if len(other.images) != len(self.images):
-            raise ValueError("size mismatch")
-        return StrandPermutation(tuple(other.images[i - 1] for i in self.images))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition including fixed points.
 
@@ -113,7 +107,7 @@ class BraidWord:
         """Reversed word with all signs flipped.
 
         >>> str(parse_word("n=3 s1 s2^-1").inverse())
-        'n=3 s2 s1^-1'
+        's2 s1^-1'
         """
         return BraidWord(
             self.strands, tuple((i, -s) for i, s in reversed(self.letters))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -13,6 +14,7 @@ from braidcalc.certify import (
     family_words,
     report_to_json,
     sweep,
+    verdict,
 )
 from braidcalc.templates import BraidingAssignment, Flype, builtin_template, instantiate
 from braidcalc.words import BraidWord, format_word, parse_word, sigma_power
@@ -84,6 +86,30 @@ def test_certify_conjugate_diagonal_fails_honestly():
     assert report.verdict == "FAILED(conditions: p+1 = q)"
     forced = certify(FamilyParams(3, 4, 2))
     assert not forced.checks.conjugacy_distinct
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ("beta_formula_ok", "FAILED(beta_formula)"),
+        ("alexander_equal", "FAILED(alexander_equal)"),
+        ("conjugacy_distinct", "FAILED(conjugacy_distinct)"),
+        ("not_unknot", "FAILED(not_unknot)"),
+        ("not_torus", "FAILED(not_torus)"),
+        ("kolee_single_sign", "FAILED(kolee_single_sign)"),
+        ("obstruction", "FAILED(obstruction)"),
+    ],
+)
+def test_single_failing_check_names_the_verdict(field, expected):
+    # no FamilyParams reaches these verdicts, so fail one check by hand
+    params = FamilyParams(2, 4, 3)
+    checks = certify(params).checks
+    if field == "obstruction":
+        failed = dataclasses.replace(checks.obstruction, swap_detected=False)
+    else:
+        failed = False
+    assert verdict(params, dataclasses.replace(checks, **{field: failed})) == expected
+    assert verdict(params, checks) == VERDICT_CERTIFIED
 
 
 def test_sweep_small_bounds():

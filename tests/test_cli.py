@@ -131,6 +131,7 @@ def test_tower_validate(capsys, tmp_path):
 
 
 TOWER_HEAD = '"initial_word": "n=3 s1 s2", "mode": "transversal"'
+FLYPE_HEAD = '"kind": "flype", "params": {"sign": -1}'
 
 
 @pytest.mark.parametrize(
@@ -146,9 +147,28 @@ TOWER_HEAD = '"initial_word": "n=3 s1 s2", "mode": "transversal"'
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "stabilize", "sign": [1]}], %s}' % TOWER_HEAD},
         ),
+        (["flype", "--desc", "{tmp}/d.json"], {"d.json": "[]"}),
+        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '"x"'}),
+        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '{%s, "assignment": 5}' % FLYPE_HEAD}),
+        (
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{%s, "assignment": {"P": 5, "R": "s1", "Q": "s1"}}' % FLYPE_HEAD},
+        ),
+        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '{"kind": ["flype"]}'}),
+        (
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{"kind": "exchange", "params": {"weight": "2"}}'},
+        ),
+        (
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{"kind": "flype", "params": {"sign": -1, "w": 1}}'},
+        ),
     ],
     ids=["desc-missing", "desc-invalid-json", "out-missing-dir", "tower-moves-not-list",
-         "tower-top-level-array", "tower-move-not-object", "tower-sign-not-int"],
+         "tower-top-level-array", "tower-move-not-object", "tower-sign-not-int",
+         "desc-top-level-array", "desc-top-level-string", "desc-assignment-not-object",
+         "desc-word-not-string", "desc-kind-not-string", "desc-param-not-int",
+         "desc-weight-param"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files):
     for name, text in files.items():
@@ -162,10 +182,40 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files):
 def test_certify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "certify", "--p", "2", "--q", "4", "--r", "3")
     assert code == 0
-    assert out.splitlines()[-1] == "verdict: CERTIFIED_NOT_TRANSVERSALLY_SIMPLE"
+    assert out.splitlines() == [
+        "params: p=2 q=4 r=3",
+        "tx_plus: s1^5 s2^8 s1^6 s2^-1",
+        "tx_minus: s1^5 s2^-1 s1^6 s2^8",
+        "conditions_ok: true",
+        "beta_plus: 15",
+        "beta_minus: 15",
+        "beta_formula_ok: true",
+        "alexander_equal: true",
+        "conjugacy_distinct: true",
+        "not_unknot: true",
+        "not_torus: true",
+        "kolee_single_sign: true",
+        "obstruction_swap_detected: true",
+        "verdict: CERTIFIED_NOT_TRANSVERSALLY_SIMPLE",
+    ]
     code, out, _ = run_cli(capsys, "certify", "--p", "2", "--q", "3", "--r", "3")
     assert code == 1
-    assert out.splitlines()[-1] == "verdict: FAILED(conditions: q = r)"
+    assert out.splitlines() == [
+        "params: p=2 q=3 r=3",
+        "tx_plus: s1^5 s2^6 s1^6 s2^-1",
+        "tx_minus: s1^5 s2^-1 s1^6 s2^6",
+        "conditions_ok: false",
+        "beta_plus: 13",
+        "beta_minus: 13",
+        "beta_formula_ok: true",
+        "alexander_equal: true",
+        "conjugacy_distinct: false",
+        "not_unknot: true",
+        "not_torus: true",
+        "kolee_single_sign: true",
+        "obstruction_swap_detected: true",
+        "verdict: FAILED(conditions: q = r)",
+    ]
 
 
 def test_certify_json_roundtrip(capsys):

@@ -19,7 +19,6 @@ from braidcalc.templates import (
     WidthMismatch,
     builtin_template,
     component_correspondence,
-    format_template_description,
     instantiate,
     parse_template_description,
     per_component_beta_delta,
@@ -96,18 +95,6 @@ def test_exchange_template_weight_two_bands():
     assert instantiate(t.minus, a) == parse_word("n=4 s1 s2 s3^-1 s2^-1 s1^2 s2 s3")
 
 
-def test_weight_constraint_checked_before_cabling_support():
-    with pytest.raises(WeightConstraintViolation):
-        builtin_template(Flype(-1, w=2, k_prime=1))
-    # admissible weights beyond 1 are validated first, then rejected as unsupported
-    with pytest.raises(NotImplementedError):
-        builtin_template(Flype(-1, w=1, w_prime=2, k=1, k_prime=2))
-    with pytest.raises(WeightConstraintViolation):
-        builtin_template(Exchange(0))
-    with pytest.raises(TemplateError):
-        builtin_template(Destabilize(2))
-
-
 def test_skeleton_validation():
     with pytest.raises(TemplateError):
         BlockSkeleton(3, (Crossing(3, 1),))
@@ -123,6 +110,10 @@ def test_skeleton_validation():
             BlockSkeleton(3, (BlockSlot("Q", 1, 2),)),
             (("P", "fixed"),),
         )
+    with pytest.raises(WeightConstraintViolation):
+        builtin_template(Exchange(0))
+    with pytest.raises(TemplateError):
+        builtin_template(Destabilize(2))
 
 
 def test_obstruction_table_frozen():
@@ -157,7 +148,11 @@ def test_identity_port_map_on_middle_block_is_inconsistent():
 
 
 def test_description_roundtrip():
-    text = format_template_description(Flype(-1), LINK_ASSIGNMENT)
+    text = """{
+      "kind": "flype",
+      "params": {"sign": -1},
+      "assignment": {"P": "s1^3", "Q": "s1^-5", "R": "s1^4"}
+    }"""
     kind, template, assignment = parse_template_description(text)
     assert kind == Flype(-1)
     assert template == FLYPE_NEG
