@@ -12,14 +12,13 @@ from braidcalc import parse_word
 from braidcalc.links import alexander_polynomial
 from braidcalc.templates import (
     BraidingAssignment,
-    Flype,
-    builtin_template,
     component_correspondence,
+    flype_template,
     instantiate,
     per_component_beta_delta,
 )
 
-template = builtin_template(Flype(sign=-1))
+template = flype_template(sign=-1)
 
 # fill the three blocks with twist regions; the middle block R rides
 # through the flype rotated half a turn

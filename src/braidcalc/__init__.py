@@ -5,10 +5,6 @@ components, linking, Alexander polynomial), moves (stabilization towers),
 b3 (three-strand conjugacy and closure classification), templates
 (block-strand move templates), certify (the flype-family certifier),
 cli (command-line front door).
-
-The names Destabilize and Exchange exist both as tower moves and as
-template kinds; import them from braidcalc.moves or braidcalc.templates
-explicitly.  The root re-exports the tower flavor.
 """
 
 from .b3 import (
@@ -55,7 +51,6 @@ from .moves import (
     NotDestabilizable,
     Stabilize,
     TowerValidation,
-    apply_move,
     find_exchange_splits,
     tower_from_json,
     tower_from_moves,
@@ -73,8 +68,10 @@ from .templates import (
     TemplateError,
     WeightConstraintViolation,
     WidthMismatch,
-    builtin_template,
     component_correspondence,
+    destabilize_template,
+    exchange_template,
+    flype_template,
     instantiate,
     per_component_beta_delta,
 )
@@ -87,69 +84,3 @@ from .words import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "B3NormalForm",
-    "BlockSkeleton",
-    "BlockSlot",
-    "BraidWord",
-    "BraidingAssignment",
-    "CertificationReport",
-    "ComponentInvariants",
-    "Conjugate",
-    "ConjugateBy",
-    "Crossing",
-    "Destabilize",
-    "Exchange",
-    "FamilyParams",
-    "FoliationCounts",
-    "FreeProductWord",
-    "GenericUnique",
-    "InconsistentCorrespondence",
-    "InvalidSplit",
-    "Laurent",
-    "LinkingMatrix",
-    "MarkovTower",
-    "MissingAssignment",
-    "MoveError",
-    "NotConjugate",
-    "NotDestabilizable",
-    "Stabilize",
-    "StrandPermutation",
-    "Template",
-    "TemplateError",
-    "TorusKnot2k",
-    "TowerValidation",
-    "UnknotClass",
-    "Unresolved",
-    "VERDICT_CERTIFIED",
-    "WeightConstraintViolation",
-    "WidthMismatch",
-    "alexander_polynomial",
-    "apply_move",
-    "brute_force_conjugacy_oracle",
-    "builtin_template",
-    "burau_matrix",
-    "certify",
-    "classify_closure",
-    "component_correspondence",
-    "components",
-    "conjugate_in_B3",
-    "family_words",
-    "find_exchange_splits",
-    "format_word",
-    "instantiate",
-    "kolee_both_signs",
-    "linking_matrix",
-    "normal_form",
-    "parse_word",
-    "per_component_beta_delta",
-    "quotient_image",
-    "report_to_json",
-    "sigma_power",
-    "sweep",
-    "tower_from_json",
-    "tower_from_moves",
-    "tower_to_json",
-    "validate_tower",
-]

@@ -117,13 +117,6 @@ class FreeProductWord:
     def from_letters(cls, raw: tuple[str, ...]) -> FreeProductWord:
         return cls(_reduce_z2z3(tuple(raw), "X", _Y_EXP))
 
-    def __mul__(self, other: FreeProductWord) -> FreeProductWord:
-        return FreeProductWord.from_letters(self.letters + other.letters)
-
-    def inverse(self) -> FreeProductWord:
-        flip = {"X": "X", "Y": "Y2", "Y2": "Y"}
-        return FreeProductWord(tuple(flip[l] for l in reversed(self.letters)))
-
 
 # with Y = image(s1 s2) and X = image(s1 s2 s1):
 #   s1 = Y^-1 X = Y2 X,   s1^-1 = X Y,   s2 = X Y^-2 = X Y2,   s2^-1 = Y X
@@ -207,22 +200,24 @@ def classify_closure(word: BraidWord) -> ClosureClass:
     The unknot has exactly three classes, s1^mu s2^tau for (mu, tau) in
     {(1,1), (-1,-1), (1,-1)}; the (2,k) torus types are carried by
     s1^k s2^mu with |k| >= 2.  Exponent sum pins the finitely many
-    candidates, so each test is a single conjugacy check.  Everything
-    else closes to a link with a unique class.
+    candidates, so each test compares the word's normal form, computed
+    once, with a candidate's.  Everything else closes to a link with a
+    unique class.
     """
     if word.strands != 3:
         raise ValueError(f"need exactly 3 strands, got {word.strands}")
     e = word.exponent_sum()
+    nf = normal_form(word)
     for mu, tau in ((1, 1), (-1, -1), (1, -1)):
         if mu + tau != e:
             continue
-        if conjugate_in_B3(word, sigma_power(3, 1, mu) * sigma_power(3, 2, tau)):
+        if nf == normal_form(sigma_power(3, 1, mu) * sigma_power(3, 2, tau)):
             return UnknotClass((mu, tau))
     for mu in (1, -1):
         k = e - mu
         if abs(k) < 2:
             continue
-        if conjugate_in_B3(word, sigma_power(3, 1, k) * sigma_power(3, 2, mu)):
+        if nf == normal_form(sigma_power(3, 1, k) * sigma_power(3, 2, mu)):
             return TorusKnot2k(k, mu)
     return GenericUnique()
 

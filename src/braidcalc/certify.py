@@ -24,8 +24,7 @@ from .b3 import (
 from .links import alexander_polynomial
 from .templates import (
     BraidingAssignment,
-    Flype,
-    builtin_template,
+    flype_template,
     instantiate,
     per_component_beta_delta,
 )
@@ -126,14 +125,14 @@ def family_assignment(params: FamilyParams) -> BraidingAssignment:
 def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
     """The flype pair at (p, q, r): exponents (2p+1, 2q, 2r) and one
     negative crossing, as instantiations of the negative-flype template."""
-    template = builtin_template(Flype(-1))
+    template = flype_template(-1)
     assignment = family_assignment(params)
     return instantiate(template.plus, assignment), instantiate(template.minus, assignment)
 
 
 @functools.cache
 def _obstruction_checks() -> ObstructionChecks:
-    template = builtin_template(Flype(-1))
+    template = flype_template(-1)
     assignment = BraidingAssignment.from_mapping(
         {bid: parse_word(text) for bid, text in OBSTRUCTION_ASSIGNMENT}
     )

@@ -15,9 +15,8 @@ from .links import components, linking_matrix
 from .moves import tower_from_json, validate_tower
 from .templates import (
     BraidingAssignment,
-    Flype,
     InconsistentCorrespondence,
-    builtin_template,
+    flype_template,
     instantiate,
     parse_template_description,
     per_component_beta_delta,
@@ -146,12 +145,12 @@ def _cmd_flype(args: argparse.Namespace) -> Result:
     try:
         if args.desc is not None:
             with open(args.desc, "r", encoding="utf-8") as handle:
-                _, template, assignment = parse_template_description(handle.read())
+                template, assignment = parse_template_description(handle.read())
         else:
             missing = [flag for flag in ("P", "R", "Q") if getattr(args, flag) is None]
             if missing:
                 raise UsageError(f"flype needs --{missing[0]} (or --desc FILE)")
-            template = builtin_template(Flype(args.sign))
+            template = flype_template(args.sign)
             assignment = BraidingAssignment.from_mapping(
                 {
                     "P": _word_argument(args.P, None),

@@ -37,7 +37,6 @@ __all__ = [
     "MoveError",
     "NotDestabilizable",
     "InvalidSplit",
-    "apply_move",
     "find_exchange_splits",
     "MarkovTower",
     "tower_from_moves",
@@ -139,10 +138,6 @@ class Exchange:
 Move = Union[Stabilize, Destabilize, ConjugateBy, Exchange]
 
 
-def apply_move(word: BraidWord, move: Move) -> BraidWord:
-    return move.apply(word)
-
-
 def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:
     """All positions where an exchange move applies to the word as written."""
     out: list[tuple[int, int]] = []
@@ -175,7 +170,7 @@ class MarkovTower:
 def tower_from_moves(initial: BraidWord, moves: tuple[Move, ...], mode: str) -> MarkovTower:
     states = [initial]
     for move in moves:
-        states.append(apply_move(states[-1], move))
+        states.append(move.apply(states[-1]))
     return MarkovTower(mode, tuple(states), tuple(moves))
 
 
@@ -227,7 +222,7 @@ def validate_tower(tower: MarkovTower) -> TowerValidation:
             if move.sign < 0:
                 problems.append(("illegal_move_for_mode", k))
         try:
-            replayed = apply_move(tower.states[k], move)
+            replayed = move.apply(tower.states[k])
         except MoveError:
             problems.append(("step_mismatch", k))
             counts = counts.add(*_counts_for(move))
@@ -260,20 +255,27 @@ def _move_to_obj(move: Move) -> dict:
     raise TypeError(f"not a move: {move!r}")
 
 
+def _json_int(value: object) -> int:
+    # JSON true and false decode to bool, a subclass of int
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _move_from_obj(obj: dict, strands: int) -> Move:
     if not isinstance(obj, dict):
         raise ValueError(f"a move must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     try:
         if kind == "stabilize":
-            return Stabilize(int(obj["sign"]))
+            return Stabilize(_json_int(obj["sign"]))
         if kind == "destabilize":
-            return Destabilize(int(obj["sign"]))
+            return Destabilize(_json_int(obj["sign"]))
         if kind == "conjugate":
             return ConjugateBy(parse_word(obj["conjugator"], default_strands=strands))
         if kind == "exchange":
             i, j = obj["split"]
-            return Exchange((int(i), int(j)))
+            return Exchange((_json_int(i), _json_int(j)))
     except (TypeError, AttributeError):
         raise ValueError(f"malformed {kind} move {obj!r}") from None
     raise ValueError(f"unknown move kind {kind!r}")
@@ -302,5 +304,5 @@ def tower_from_json(text: str) -> MarkovTower:
     moves: list[Move] = []
     for raw in obj["moves"]:
         moves.append(_move_from_obj(raw, states[-1].strands))
-        states.append(apply_move(states[-1], moves[-1]))
+        states.append(moves[-1].apply(states[-1]))
     return MarkovTower(obj["mode"], tuple(states), tuple(moves))

@@ -8,11 +8,12 @@ closure components of one side with closure components of the other.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
-from .links import components
+from .links import ComponentInvariants, components
 from .words import BraidWord, parse_word
 
 PORT_FIXED = "fixed"
@@ -171,31 +172,6 @@ class Template:
         return {s.block_id: s.width for s in self.plus.block_slots()}
 
 
-@dataclass(frozen=True)
-class Destabilize:
-    """Kind tag: remove a strand that crosses the rest exactly once."""
-
-    sign: int
-    weight: int = 1
-
-
-@dataclass(frozen=True)
-class Exchange:
-    """Kind tag: carry a unit strand across a weight-w cable and back."""
-
-    weight: int = 1
-
-
-@dataclass(frozen=True)
-class Flype:
-    """Kind tag: turn the middle tangle half a turn past one crossing."""
-
-    sign: int
-
-
-TemplateKind = Union[Destabilize, Exchange, Flype]
-
-
 def instantiate(sk: BlockSkeleton, a: BraidingAssignment) -> BraidWord:
     """Fill every block of `sk` with its assigned word.
 
@@ -218,21 +194,23 @@ def instantiate(sk: BlockSkeleton, a: BraidingAssignment) -> BraidWord:
     return BraidWord(sk.strands, tuple(letters))
 
 
-def _destabilize_template(kind: Destabilize) -> Template:
-    if kind.sign not in (1, -1):
-        raise TemplateError(f"destabilization sign must be +-1, got {kind.sign}")
-    if kind.weight < 1:
+def destabilize_template(sign: int, weight: int = 1) -> Template:
+    """Remove a strand that crosses a weight-w cable exactly once."""
+    if sign not in (1, -1):
+        raise TemplateError(f"destabilization sign must be +-1, got {sign}")
+    if weight < 1:
         raise WeightConstraintViolation("destabilization weight must be >= 1")
-    k = kind.weight + 1
-    plus = BlockSkeleton(k + 1, (BlockSlot("P", 1, k), Crossing(k, kind.sign)))
+    k = weight + 1
+    plus = BlockSkeleton(k + 1, (BlockSlot("P", 1, k), Crossing(k, sign)))
     minus = BlockSkeleton(k, (BlockSlot("P", 1, k),))
     return Template(plus, minus, (("P", PORT_FIXED),))
 
 
-def _exchange_template(kind: Exchange) -> Template:
-    w = kind.weight
-    if w < 1:
+def exchange_template(weight: int = 1) -> Template:
+    """Carry a unit strand across a weight-w cable and back."""
+    if weight < 1:
         raise WeightConstraintViolation("exchange weight must be >= 1")
+    w = weight
 
     def side(direction: int) -> BlockSkeleton:
         # unit strand leaves position w+2, crosses the cable down to
@@ -245,44 +223,42 @@ def _exchange_template(kind: Exchange) -> Template:
     return Template(side(1), side(-1), (("P", PORT_FIXED), ("Q", PORT_FIXED)))
 
 
-def _flype_template(kind: Flype) -> Template:
-    if kind.sign not in (1, -1):
-        raise TemplateError(f"flype sign must be +-1, got {kind.sign}")
+def flype_template(sign: int) -> Template:
+    """Turn the middle tangle half a turn past one crossing."""
+    if sign not in (1, -1):
+        raise TemplateError(f"flype sign must be +-1, got {sign}")
     plus = BlockSkeleton(
         3,
-        (BlockSlot("P", 1, 2), BlockSlot("R", 2, 2), BlockSlot("Q", 1, 2), Crossing(2, kind.sign)),
+        (BlockSlot("P", 1, 2), BlockSlot("R", 2, 2), BlockSlot("Q", 1, 2), Crossing(2, sign)),
     )
     minus = BlockSkeleton(
         3,
-        (BlockSlot("P", 1, 2), Crossing(2, kind.sign), BlockSlot("Q", 1, 2), BlockSlot("R", 2, 2)),
+        (BlockSlot("P", 1, 2), Crossing(2, sign), BlockSlot("Q", 1, 2), BlockSlot("R", 2, 2)),
     )
     # the flype carries the middle block R turned half a turn
     port_map = (("P", PORT_FIXED), ("Q", PORT_FIXED), ("R", PORT_ROTATED))
     return Template(plus, minus, port_map)
 
 
-def builtin_template(kind: TemplateKind) -> Template:
-    """Build one of the three built-in move templates."""
-    if isinstance(kind, Destabilize):
-        return _destabilize_template(kind)
-    if isinstance(kind, Exchange):
-        return _exchange_template(kind)
-    if isinstance(kind, Flype):
-        return _flype_template(kind)
-    raise TemplateError(f"unknown template kind {kind!r}")
+# the built-in templates by their name in a JSON description
+CONSTRUCTORS = {
+    "destabilize": destabilize_template,
+    "exchange": exchange_template,
+    "flype": flype_template,
+}
 
 
-def _port_components(sk: BlockSkeleton, a: BraidingAssignment) -> Dict[Tuple[str, str, int], int]:
-    """Map each block port to the id of the closure component through it.
+def _port_components(
+    sk: BlockSkeleton, a: BraidingAssignment
+) -> Tuple[List[ComponentInvariants], Dict[Tuple[str, str, int], int]]:
+    """The closure components of `sk` filled by `a`, and the component
+    through each block port.
 
     Ports are (block_id, "in"|"out", column); component ids are the
     smallest strand position on the component, as used by closure_links.
     """
-    word = instantiate(sk, a)
-    comp_of: Dict[int, int] = {}
-    for comp in components(word):
-        for member in comp.members:
-            comp_of[member] = comp.members[0]
+    comps = components(instantiate(sk, a))
+    comp_of = {member: comp.members[0] for comp in comps for member in comp.members}
     # occupants[p] = starting position of the strand currently at position p
     occupants = list(range(sk.strands + 1))
     ports: Dict[Tuple[str, str, int], int] = {}
@@ -299,18 +275,14 @@ def _port_components(sk: BlockSkeleton, a: BraidingAssignment) -> Dict[Tuple[str
             occupants[p], occupants[p + 1] = occupants[p + 1], occupants[p]
         for j in range(1, width + 1):
             ports[(item.block_id, "out", j)] = comp_of[occupants[start + j - 1]]
-    return ports
+    return comps, ports
 
 
-def component_correspondence(t: Template, a: BraidingAssignment) -> Dict[int, int]:
-    """Match closure components of the plus side with the minus side.
-
-    Each block port marks one component on each side; the pairings from
-    all ports must agree and must glue into a bijection, which is
-    returned as {plus component id: minus component id}.
-    """
-    ports_plus = _port_components(t.plus, a)
-    ports_minus = _port_components(t.minus, a)
+def _correspondence(
+    t: Template, a: BraidingAssignment
+) -> Tuple[Dict[int, int], List[ComponentInvariants], List[ComponentInvariants]]:
+    comps_plus, ports_plus = _port_components(t.plus, a)
+    comps_minus, ports_minus = _port_components(t.minus, a)
     widths = t.block_widths()
     forward: Dict[int, int] = {}
     backward: Dict[int, int] = {}
@@ -329,11 +301,21 @@ def component_correspondence(t: Template, a: BraidingAssignment) -> Dict[int, in
                         f"port ({block_id}, {side}, {j}) pairs component {cp} "
                         f"with {cm}, conflicting with earlier ports"
                     )
-    plus_ids = {comp.members[0] for comp in components(instantiate(t.plus, a))}
-    minus_ids = {comp.members[0] for comp in components(instantiate(t.minus, a))}
+    plus_ids = {comp.members[0] for comp in comps_plus}
+    minus_ids = {comp.members[0] for comp in comps_minus}
     if set(forward) != plus_ids or set(backward) != minus_ids:
         raise InconsistentCorrespondence("a closure component touches no block port")
-    return forward
+    return forward, comps_plus, comps_minus
+
+
+def component_correspondence(t: Template, a: BraidingAssignment) -> Dict[int, int]:
+    """Match closure components of the plus side with the minus side.
+
+    Each block port marks one component on each side; the pairings from
+    all ports must agree and must glue into a bijection, which is
+    returned as {plus component id: minus component id}.
+    """
+    return _correspondence(t, a)[0]
 
 
 def per_component_beta_delta(
@@ -345,20 +327,17 @@ def per_component_beta_delta(
     differ exhibits a component whose self-linking number the move does
     not preserve.
     """
-    correspondence = component_correspondence(t, a)
-    beta_plus = {c.members[0]: c.bennequin for c in components(instantiate(t.plus, a))}
-    beta_minus = {c.members[0]: c.bennequin for c in components(instantiate(t.minus, a))}
+    correspondence, comps_plus, comps_minus = _correspondence(t, a)
+    beta_plus = {c.members[0]: c.bennequin for c in comps_plus}
+    beta_minus = {c.members[0]: c.bennequin for c in comps_minus}
     return [
         (cid, beta_plus[cid], beta_minus[correspondence[cid]])
         for cid in sorted(beta_plus)
     ]
 
 
-_KINDS = {"destabilize": Destabilize, "exchange": Exchange, "flype": Flype}
-
-
-def parse_template_description(text: str) -> Tuple[TemplateKind, Template, BraidingAssignment]:
-    """Parse a JSON description into (kind, template, assignment).
+def parse_template_description(text: str) -> Tuple[Template, BraidingAssignment]:
+    """Parse a JSON description into (template, assignment).
 
     The document is an object with a "kind" name, a "params" object of
     integers and an "assignment" object mapping block ids to word text.
@@ -367,18 +346,22 @@ def parse_template_description(text: str) -> Tuple[TemplateKind, Template, Braid
     if not isinstance(payload, dict):
         raise TemplateError("a template description must be a JSON object")
     name = payload.get("kind")
-    if not isinstance(name, str) or name not in _KINDS:
+    if not isinstance(name, str) or name not in CONSTRUCTORS:
         raise TemplateError(f"unknown template kind {name!r}")
+    build = CONSTRUCTORS[name]
+    params = payload.get("params", {})
+    # type(v) is int: JSON true and false decode to bool, a subclass of int
+    if not isinstance(params, dict) or not all(type(v) is int for v in params.values()):
+        raise TemplateError(f"params for {name} must be integers")
     try:
-        kind = _KINDS[name](**payload.get("params", {}))
+        # check the names now; the sign and weight checks run last
+        inspect.signature(build).bind(**params)
     except TypeError as exc:
         raise TemplateError(f"bad params for {name}: {exc}") from None
-    if not all(isinstance(value, int) for value in vars(kind).values()):
-        raise TemplateError(f"params for {name} must be integers")
     words = payload.get("assignment", {})
     if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
         raise TemplateError("assignment must map block ids to word strings")
     assignment = BraidingAssignment.from_mapping(
         {bid: parse_word(word) for bid, word in words.items()}
     )
-    return kind, builtin_template(kind), assignment
+    return build(**params), assignment

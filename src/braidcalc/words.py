@@ -36,10 +36,6 @@ class StrandPermutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> StrandPermutation:
-        return cls(tuple(range(1, n + 1)))
-
     def apply(self, position: int) -> int:
         return self.images[position - 1]
 

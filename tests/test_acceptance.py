@@ -76,7 +76,7 @@ def test_family_sweep_certifies_every_admissible_triple(capsys):
 
 
 def test_link_obstruction_table_is_exact():
-    template = tmpl.builtin_template(tmpl.Flype(sign=-1))
+    template = tmpl.flype_template(sign=-1)
     assignment = tmpl.BraidingAssignment.from_mapping(
         {
             "P": parse_word("n=2 s1^3"),
@@ -186,16 +186,18 @@ def test_transversal_towers_validate_and_reject_negative_stabilization():
         assert any(code == "illegal_move_for_mode" for code, _ in bad_validation.problems)
 
 
-BUILTIN_KINDS = (
-    tmpl.Flype(sign=1),
-    tmpl.Flype(sign=-1),
-    tmpl.Exchange(weight=1),
-    tmpl.Exchange(weight=2),
-    tmpl.Exchange(weight=3),
-    tmpl.Destabilize(sign=1, weight=1),
-    tmpl.Destabilize(sign=-1, weight=1),
-    tmpl.Destabilize(sign=1, weight=2),
-    tmpl.Destabilize(sign=-1, weight=2),
+# (description name, params, seed); the seeds are literal strings, so the
+# 1000 assignments drawn per row never change with the code's reprs
+BUILTIN_TEMPLATES = (
+    ("flype", {"sign": 1}, "Flype(sign=1)"),
+    ("flype", {"sign": -1}, "Flype(sign=-1)"),
+    ("exchange", {"weight": 1}, "Exchange(weight=1)"),
+    ("exchange", {"weight": 2}, "Exchange(weight=2)"),
+    ("exchange", {"weight": 3}, "Exchange(weight=3)"),
+    ("destabilize", {"sign": 1, "weight": 1}, "Destabilize(sign=1, weight=1)"),
+    ("destabilize", {"sign": -1, "weight": 1}, "Destabilize(sign=-1, weight=1)"),
+    ("destabilize", {"sign": 1, "weight": 2}, "Destabilize(sign=1, weight=2)"),
+    ("destabilize", {"sign": -1, "weight": 2}, "Destabilize(sign=-1, weight=2)"),
 )
 
 
@@ -207,26 +209,29 @@ def random_assignment(rng: random.Random, template: tmpl.Template) -> tmpl.Braid
     return tmpl.BraidingAssignment.from_mapping(mapping)
 
 
-@pytest.mark.parametrize("kind", BUILTIN_KINDS, ids=repr)
-def test_template_sides_share_exponent_sum_and_alexander(kind):
+@pytest.mark.parametrize(
+    "name, params, seed",
+    [pytest.param(*row, id=row[2]) for row in BUILTIN_TEMPLATES],
+)
+def test_template_sides_share_exponent_sum_and_alexander(name, params, seed):
     # Flype and exchange keep the strand count and the exponent sum.  A
     # destabilization is a Markov move: its plus side is P s_k^sign on k+1
     # strands and its minus side is P on k, so it drops one strand and
     # one crossing, and the exponent sums differ by exactly that sign.
     # Both sides close to the same link, so Alexander agrees for every kind.
-    template = tmpl.builtin_template(kind)
-    rng = random.Random(repr(kind))
-    if isinstance(kind, tmpl.Destabilize):
-        strand_drop, exponent_drop = 1, kind.sign
+    template = tmpl.CONSTRUCTORS[name](**params)
+    rng = random.Random(seed)
+    if name == "destabilize":
+        strand_drop, exponent_drop = 1, params["sign"]
     else:
         strand_drop, exponent_drop = 0, 0
     for _ in range(1000):
         assignment = random_assignment(rng, template)
         plus = tmpl.instantiate(template.plus, assignment)
         minus = tmpl.instantiate(template.minus, assignment)
-        assert plus.strands - minus.strands == strand_drop, repr(kind)
-        assert plus.exponent_sum() - minus.exponent_sum() == exponent_drop, repr(kind)
-        assert alexander_polynomial(plus) == alexander_polynomial(minus), repr(kind)
+        assert plus.strands - minus.strands == strand_drop, seed
+        assert plus.exponent_sum() - minus.exponent_sum() == exponent_drop, seed
+        assert alexander_polynomial(plus) == alexander_polynomial(minus), seed
 
 
 def test_exceptional_class_detection_table():

@@ -173,13 +173,14 @@ def test_psl2z_class_frozen():
 
 @given(braid_words_3(max_length=10), braid_words_3(max_length=10))
 def test_quotient_image_is_a_homomorphism(w1: BraidWord, w2: BraidWord):
-    assert quotient_image(w1 * w2) == quotient_image(w1) * quotient_image(w2)
+    product = quotient_image(w1).letters + quotient_image(w2).letters
+    assert quotient_image(w1 * w2) == FreeProductWord.from_letters(product)
 
 
 @given(braid_words_3(max_length=10))
 def test_quotient_image_inverse(w: BraidWord):
-    prod = quotient_image(w) * quotient_image(w.inverse())
-    assert prod == FreeProductWord(())
+    product = quotient_image(w).letters + quotient_image(w.inverse()).letters
+    assert FreeProductWord.from_letters(product) == FreeProductWord(())
 
 
 @given(braid_words_3(max_length=8), braid_words_3(max_length=6))

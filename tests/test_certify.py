@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from braidcalc.certify import (
     VERDICT_CERTIFIED,
-    CertificationReport,
     FamilyParams,
     certify,
     family_words,
@@ -16,8 +14,7 @@ from braidcalc.certify import (
     sweep,
     verdict,
 )
-from braidcalc.templates import BraidingAssignment, Flype, builtin_template, instantiate
-from braidcalc.words import BraidWord, format_word, parse_word, sigma_power
+from braidcalc.words import format_word, sigma_power
 
 
 def test_family_words_frozen():

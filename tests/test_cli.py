@@ -132,6 +132,7 @@ def test_tower_validate(capsys, tmp_path):
 
 TOWER_HEAD = '"initial_word": "n=3 s1 s2", "mode": "transversal"'
 FLYPE_HEAD = '"kind": "flype", "params": {"sign": -1}'
+EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological"'
 
 
 @pytest.mark.parametrize(
@@ -163,12 +164,35 @@ FLYPE_HEAD = '"kind": "flype", "params": {"sign": -1}'
             ["flype", "--desc", "{tmp}/d.json"],
             {"d.json": '{"kind": "flype", "params": {"sign": -1, "w": 1}}'},
         ),
+        (
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "exchange", "split": [2.9, "4"]}], %s}'
+             % EXCHANGE_HEAD},
+        ),
+        (
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize", "sign": "1"}], %s}' % TOWER_HEAD},
+        ),
+        (
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "destabilize", "sign": true}], %s}' % TOWER_HEAD},
+        ),
+        (
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize", "sign": -0.5}], %s}' % TOWER_HEAD},
+        ),
+        (
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{"kind": "flype", "params": {"sign": true}, '
+                       '"assignment": {"P": "s1", "R": "s1", "Q": "s1"}}'},
+        ),
     ],
     ids=["desc-missing", "desc-invalid-json", "out-missing-dir", "tower-moves-not-list",
          "tower-top-level-array", "tower-move-not-object", "tower-sign-not-int",
          "desc-top-level-array", "desc-top-level-string", "desc-assignment-not-object",
          "desc-word-not-string", "desc-kind-not-string", "desc-param-not-int",
-         "desc-weight-param"],
+         "desc-weight-param", "tower-split-not-int", "tower-sign-string", "tower-sign-bool",
+         "tower-sign-fraction", "desc-param-bool"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files):
     for name, text in files.items():

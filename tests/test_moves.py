@@ -13,7 +13,6 @@ from braidcalc.moves import (
     InvalidSplit,
     NotDestabilizable,
     Stabilize,
-    apply_move,
     find_exchange_splits,
     tower_from_json,
     tower_from_moves,
@@ -164,5 +163,5 @@ def test_exchange_involutive_where_defined(w: BraidWord):
 
 @given(braid_words(min_strands=2, max_strands=4, max_length=6))
 def test_stabilization_preserves_alexander(w: BraidWord):
-    up = apply_move(w, Stabilize(1))
+    up = Stabilize(1).apply(w)
     assert alexander_polynomial(up) == alexander_polynomial(w)

@@ -7,25 +7,25 @@ from braidcalc.templates import (
     BlockSkeleton,
     BlockSlot,
     BraidingAssignment,
+    CONSTRUCTORS,
     Crossing,
-    Destabilize,
-    Exchange,
-    Flype,
     InconsistentCorrespondence,
     MissingAssignment,
     Template,
     TemplateError,
     WeightConstraintViolation,
     WidthMismatch,
-    builtin_template,
     component_correspondence,
+    destabilize_template,
+    exchange_template,
+    flype_template,
     instantiate,
     parse_template_description,
     per_component_beta_delta,
 )
 from braidcalc.words import BraidWord, format_word, parse_word
 
-FLYPE_NEG = builtin_template(Flype(-1))
+FLYPE_NEG = flype_template(-1)
 
 LINK_ASSIGNMENT = BraidingAssignment.from_mapping(
     {"P": parse_word("s1^3"), "R": parse_word("s1^4"), "Q": parse_word("s1^-5")}
@@ -67,27 +67,27 @@ def test_instantiate_errors():
 
 
 def test_destabilize_template_shapes():
-    t = builtin_template(Destabilize(1))
+    t = destabilize_template(1)
     a = BraidingAssignment.from_mapping({"P": parse_word("s1^3")})
     assert instantiate(t.plus, a) == parse_word("n=3 s1^3 s2")
     assert instantiate(t.minus, a) == parse_word("s1^3")
 
     # weight 2: the cable block spans three strands, the loop a fourth
-    t2 = builtin_template(Destabilize(-1, weight=2))
+    t2 = destabilize_template(-1, weight=2)
     a2 = BraidingAssignment.from_mapping({"P": parse_word("n=3 s1 s2^2")})
     assert instantiate(t2.plus, a2) == parse_word("n=4 s1 s2^2 s3^-1")
     assert instantiate(t2.minus, a2) == parse_word("n=3 s1 s2^2")
 
 
 def test_exchange_template_weight_one_matches_word_form():
-    t = builtin_template(Exchange(1))
+    t = exchange_template(1)
     a = BraidingAssignment.from_mapping({"P": parse_word("s1^2"), "Q": parse_word("s1^-3")})
     assert instantiate(t.plus, a) == parse_word("n=3 s1^2 s2 s1^-3 s2^-1")
     assert instantiate(t.minus, a) == parse_word("n=3 s1^2 s2^-1 s1^-3 s2")
 
 
 def test_exchange_template_weight_two_bands():
-    t = builtin_template(Exchange(2))
+    t = exchange_template(2)
     a = BraidingAssignment.from_mapping(
         {"P": parse_word("n=3 s1 s2"), "Q": parse_word("s1^2")}
     )
@@ -111,9 +111,9 @@ def test_skeleton_validation():
             (("P", "fixed"),),
         )
     with pytest.raises(WeightConstraintViolation):
-        builtin_template(Exchange(0))
+        exchange_template(0)
     with pytest.raises(TemplateError):
-        builtin_template(Destabilize(2))
+        destabilize_template(2)
 
 
 def test_obstruction_table_frozen():
@@ -129,7 +129,7 @@ def test_family_knot_single_component_table():
 
 
 def test_exchange_identity_assignment_zero_deltas():
-    t = builtin_template(Exchange(1))
+    t = exchange_template(1)
     a = BraidingAssignment.from_mapping({"P": BraidWord(2, ()), "Q": BraidWord(2, ())})
     assert per_component_beta_delta(t, a) == [(1, -1, -1), (2, -1, -1), (3, -1, -1)]
 
@@ -153,8 +153,7 @@ def test_description_roundtrip():
       "params": {"sign": -1},
       "assignment": {"P": "s1^3", "Q": "s1^-5", "R": "s1^4"}
     }"""
-    kind, template, assignment = parse_template_description(text)
-    assert kind == Flype(-1)
+    template, assignment = parse_template_description(text)
     assert template == FLYPE_NEG
     assert assignment == LINK_ASSIGNMENT
     with pytest.raises(TemplateError):
@@ -174,48 +173,51 @@ def words_on(strands: int):
 
 @st.composite
 def template_cases(draw):
-    kind = draw(
+    name, params = draw(
         st.one_of(
-            st.builds(Flype, st.sampled_from((1, -1))),
-            st.builds(Exchange, st.integers(min_value=1, max_value=3)),
+            st.builds(lambda sign: ("flype", {"sign": sign}), st.sampled_from((1, -1))),
             st.builds(
-                Destabilize,
+                lambda weight: ("exchange", {"weight": weight}),
+                st.integers(min_value=1, max_value=3),
+            ),
+            st.builds(
+                lambda sign, weight: ("destabilize", {"sign": sign, "weight": weight}),
                 st.sampled_from((1, -1)),
                 st.integers(min_value=1, max_value=3),
             ),
         )
     )
-    template = builtin_template(kind)
+    template = CONSTRUCTORS[name](**params)
     assignment = BraidingAssignment.from_mapping(
         {bid: draw(words_on(w)) for bid, w in template.block_widths().items()}
     )
-    return kind, template, assignment
+    return name, params, template, assignment
 
 
 @settings(max_examples=120, deadline=None)
 @given(template_cases())
 def test_instantiations_present_the_same_link(case):
-    kind, template, assignment = case
+    name, params, template, assignment = case
     plus = instantiate(template.plus, assignment)
     minus = instantiate(template.minus, assignment)
     assert alexander_polynomial(plus) == alexander_polynomial(minus)
-    if isinstance(kind, (Flype, Exchange)):
+    if name != "destabilize":
         assert plus.exponent_sum() == minus.exponent_sum()
     else:
-        assert plus.exponent_sum() - minus.exponent_sum() == kind.sign
+        assert plus.exponent_sum() - minus.exponent_sum() == params["sign"]
 
 
 @settings(max_examples=120, deadline=None)
 @given(template_cases())
 def test_correspondence_glues_for_every_assignment(case):
-    kind, template, assignment = case
+    name, params, template, assignment = case
     table = per_component_beta_delta(template, assignment)
     corr = component_correspondence(template, assignment)
     assert len(set(corr.values())) == len(corr)
     assert len(corr) == len(components(instantiate(template.plus, assignment)))
-    if isinstance(kind, (Flype, Exchange)):
+    if name != "destabilize":
         assert sum(r[1] for r in table) == sum(r[2] for r in table)
-    elif kind.sign == 1:
+    elif params["sign"] == 1:
         assert all(bp == bm for _, bp, bm in table)
     else:
         # removing a negatively crossed loop raises that component's
