@@ -74,25 +74,44 @@ def _reduce_z2z3(letters: tuple[str, ...], two: str, y_exp: dict[str, int]) -> t
 
 def _cyclic_reduce_z2z3(letters: tuple[str, ...], two: str, y_exp: dict[str, int]) -> tuple[str, ...]:
     by_exp = {v: k for k, v in y_exp.items()}
+    # the cyclic word is w[head:]; both ends are trimmed in place
     w = list(letters)
-    while len(w) >= 2:
-        first, last = w[0], w[-1]
+    head = 0
+    while len(w) - head >= 2:
+        first, last = w[head], w[-1]
         if first == two and last == two:
-            w = w[1:-1]
+            head += 1
+            w.pop()
         elif first != two and last != two:
             total = (y_exp[last] + y_exp[first]) % 3
-            w = w[1:-1]
+            head += 1
+            w.pop()
             if total:
                 w.append(by_exp[total])
         else:
             break
-    return tuple(w)
+    return tuple(w[head:])
 
 
 def _min_rotation(letters: tuple[str, ...]) -> tuple[str, ...]:
-    if len(letters) <= 1:
-        return letters
-    return min(letters[k:] + letters[:k] for k in range(len(letters)))
+    """Lexicographically least rotation, in linear time.
+
+    Duval's Lyndon factorization of the doubled word (J.-P. Duval,
+    J. Algorithms 4, 1983): the last factor to start within the first
+    copy starts the least rotation.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[start:start + n]
 
 
 _Y_EXP = {"Y": 1, "Y2": 2}

@@ -4,13 +4,17 @@ Everything here is integer arithmetic in Z[t, t^-1]; coefficients are
 Python ints, so nothing overflows.  A polynomial is a lowest power plus
 the dense run of coefficients from there up, so sums, shifts and
 products are list operations.  The reduced Burau matrix of a word on n
-strands is (n-1) x (n-1); each letter only shifts and adds two columns,
-so a length-L word costs O(L * n) polynomial updates and no products.
+strands is (n-1) x (n-1) and is built column by column, one syllable
+(a generator with its power, such as s1^5) at a time.  A syllable of one
+or two letters shifts and adds one or two columns per letter; a longer
+one updates them once, in closed form, at a cost linear in the degree
+spread plus the power.  No step multiplies two polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from operator import add, sub
 
 from .words import BraidWord
@@ -197,6 +201,21 @@ def trace(m: Matrix) -> Laurent:
     return sum((m[i][i] for i in range(len(m))), Laurent.zero())
 
 
+def _series_times(d: Laurent, e: int) -> Laurent:
+    """S_e * d for S_e = (1 - (-t)^e) / (1 + t), any nonzero integer e.
+
+    The numerator d - (-t)^e * d is divided exactly by 1 + t through the
+    alternating prefix sum q_k = a_k - q_(k-1), whose final term, the
+    remainder, is zero; the first and last quotient coefficients equal
+    the numerator's end coefficients, so the result needs no trimming.
+    """
+    if not d.coeffs:
+        return _ZERO
+    num = d + d.shift(e) if e % 2 else d - d.shift(e)
+    quot = list(accumulate(num.coeffs, lambda q, a: a - q))
+    return Laurent(num.low, tuple(quot[:-1]))
+
+
 def burau_matrix(word: BraidWord) -> Matrix:
     """Reduced Burau matrix of ``word``, size (strands-1) squared.
 
@@ -208,34 +227,60 @@ def burau_matrix(word: BraidWord) -> Matrix:
     Right-multiplying by a letter replaces one or two columns c, c1:
     sigma_i gives c' = c - t*c + c1 and c1' = t*c; its inverse gives
     c' = t^-1*c1 and c1' = c + c1 - t^-1*c1.
+
+    A syllable sigma_i^e with |e| >= 3 is applied at once.  Every
+    generator G satisfies (G - I)(G + t) = 0, so G^e = I + S_e (G - I)
+    with S_e = (1 - (-t)^e) / (1 + t).  For a middle generator the
+    columns of M (G - I) are d and -d with d = c1 - t*c, so c += S_e*d
+    and c1 -= S_e*d; for the last generator only the last column moves,
+    by S_e times d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).
+    Shorter syllables take the per-letter update, which is cheaper there.
     """
     m = word.strands - 1
     cols: list[list[Laurent]] = [
         [_ONE if i == j else _ZERO for i in range(m)] for j in range(m)
     ]
-    for index, sign in word.letters:
+    for (index, sign), run in groupby(word.letters):
+        power = sum(1 for _ in run)
         c = index - 1
-        if index < m:
-            left, right = cols[c], cols[c + 1]
-            if sign > 0:
-                cols[c] = [x - x.shift(1) + y for x, y in zip(left, right)]
-                cols[c + 1] = [x.shift(1) for x in left]
+        if power >= 3:
+            e = sign * power
+            if index < m:
+                left, right = cols[c], cols[c + 1]
+                step = [_series_times(y - x.shift(1), e) for x, y in zip(left, right)]
+                cols[c] = list(map(add, left, step))
+                cols[c + 1] = list(map(sub, right, step))
             else:
-                cols[c] = [y.shift(-1) for y in right]
-                cols[c + 1] = [x + y - y.shift(-1) for x, y in zip(left, right)]
-        else:
-            # index == strands - 1: only the last column moves
-            last = cols[m - 1]
-            if sign > 0:
+                last = cols[m - 1]
                 cols[m - 1] = [
-                    -sum((cols[j][i] for j in range(m - 1)), last[i].shift(1))
-                    for i in range(m)
+                    x + _series_times(
+                        -sum((cols[j][i] for j in range(m - 1)), x + x.shift(1)), e
+                    )
+                    for i, x in enumerate(last)
                 ]
+            continue
+        for _ in range(power):
+            if index < m:
+                left, right = cols[c], cols[c + 1]
+                if sign > 0:
+                    cols[c] = [x - x.shift(1) + y for x, y in zip(left, right)]
+                    cols[c + 1] = [x.shift(1) for x in left]
+                else:
+                    cols[c] = [y.shift(-1) for y in right]
+                    cols[c + 1] = [x + y - y.shift(-1) for x, y in zip(left, right)]
             else:
-                cols[m - 1] = [
-                    -sum((cols[j][i] for j in range(m)), _ZERO).shift(-1)
-                    for i in range(m)
-                ]
+                # index == strands - 1: only the last column moves
+                last = cols[m - 1]
+                if sign > 0:
+                    cols[m - 1] = [
+                        -sum((cols[j][i] for j in range(m - 1)), last[i].shift(1))
+                        for i in range(m)
+                    ]
+                else:
+                    cols[m - 1] = [
+                        -sum((cols[j][i] for j in range(m)), _ZERO).shift(-1)
+                        for i in range(m)
+                    ]
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 

@@ -183,7 +183,7 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         tower = tower_from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"bad tower description: {exc}") from None
     result = validate_tower(tower)
     counts = asdict(result.counts)

@@ -262,9 +262,10 @@ def _json_int(value: object) -> int:
     return value
 
 
-def _move_from_obj(obj: dict, strands: int) -> Move:
+def _move_from_obj(obj: dict, strands: int, index: int) -> Move:
+    """Decode the move at position ``index`` of a tower's move list."""
     if not isinstance(obj, dict):
-        raise ValueError(f"a move must be a JSON object, got {obj!r}")
+        raise ValueError(f"move {index} must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     try:
         if kind == "stabilize":
@@ -276,9 +277,11 @@ def _move_from_obj(obj: dict, strands: int) -> Move:
         if kind == "exchange":
             i, j = obj["split"]
             return Exchange((_json_int(i), _json_int(j)))
+    except KeyError as exc:
+        raise ValueError(f"move {index} ({kind}) has no {exc.args[0]!r}") from None
     except (TypeError, AttributeError):
-        raise ValueError(f"malformed {kind} move {obj!r}") from None
-    raise ValueError(f"unknown move kind {kind!r}")
+        raise ValueError(f"move {index} is a malformed {kind} move: {obj!r}") from None
+    raise ValueError(f"move {index} has unknown kind {kind!r}")
 
 
 def tower_to_json(tower: MarkovTower) -> str:
@@ -298,11 +301,13 @@ def tower_from_json(text: str) -> MarkovTower:
     if not isinstance(obj, dict):
         raise ValueError("a tower description must be a JSON object")
     for key, kind in (("initial_word", str), ("moves", list), ("mode", str)):
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
         if not isinstance(obj[key], kind):
             raise ValueError(f"{key!r} must be a JSON {'array' if kind is list else 'string'}")
     states = [parse_word(obj["initial_word"])]
     moves: list[Move] = []
-    for raw in obj["moves"]:
-        moves.append(_move_from_obj(raw, states[-1].strands))
+    for index, raw in enumerate(obj["moves"]):
+        moves.append(_move_from_obj(raw, states[-1].strands, index))
         states.append(moves[-1].apply(states[-1]))
     return MarkovTower(obj["mode"], tuple(states), tuple(moves))

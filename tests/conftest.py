@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from braidcalc.words import BraidWord
+from braidcalc.words import BraidWord, sigma_power
 
 
 def braid_words(
@@ -27,3 +27,21 @@ def braid_words(
 
 def braid_words_3(max_length: int = 12) -> st.SearchStrategy[BraidWord]:
     return braid_words(min_strands=3, max_strands=3, max_length=max_length)
+
+
+def syllable_words() -> st.SearchStrategy[BraidWord]:
+    """Words of up to six syllables s_i^k with 1 <= |k| <= 12 on 2-6
+    strands, so that, unlike in ``braid_words``, letters repeat."""
+
+    def build(n: int) -> st.SearchStrategy[BraidWord]:
+        syllable = st.builds(
+            sigma_power,
+            st.just(n),
+            st.integers(min_value=1, max_value=n - 1),
+            st.integers(min_value=-12, max_value=12).filter(bool),
+        )
+        return st.lists(syllable, max_size=6).map(
+            lambda parts: BraidWord(n, tuple(x for part in parts for x in part.letters))
+        )
+
+    return st.integers(min_value=2, max_value=6).flatmap(build)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.b3 import (
     B3NormalForm,
@@ -18,7 +19,11 @@ from braidcalc.b3 import (
     kolee_both_signs,
     normal_form,
     quotient_image,
+    _Y_EXP,
+    _cyclic_reduce_z2z3,
+    _min_rotation,
     _psl2z_class,
+    _reduce_z2z3,
 )
 from braidcalc.burau import burau_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
@@ -218,3 +223,51 @@ def test_oracle_agrees_with_normal_form(w: BraidWord, g: BraidWord):
         # batteries are complete, so an unresolved pair is conjugate with
         # every certificate longer than the bound
         assert conjugate_in_B3(w, w2)
+
+
+# Slow routes for the linear-time helpers of normal_form.
+def _min_rotation_reference(letters):
+    return min((letters[k:] + letters[:k] for k in range(len(letters))), default=())
+
+
+def _cyclic_reduce_reference(letters, two, y_exp):
+    by_exp = {v: k for k, v in y_exp.items()}
+    w = list(letters)
+    while len(w) >= 2:
+        first, last = w[0], w[-1]
+        if first == two and last == two:
+            w = w[1:-1]
+        elif first != two and last != two:
+            total = (y_exp[last] + y_exp[first]) % 3
+            w = w[1:-1]
+            if total:
+                w.append(by_exp[total])
+        else:
+            break
+    return tuple(w)
+
+
+_alphabet_words = st.sampled_from((("X", "Y", "Y2"), ("S", "U", "U2"))).flatmap(
+    lambda alphabet: st.one_of(
+        st.lists(st.sampled_from(alphabet), max_size=16).map(tuple),
+        # periodic words, whose least rotation starts at several positions
+        st.tuples(
+            st.lists(st.sampled_from(alphabet), min_size=1, max_size=4),
+            st.integers(min_value=1, max_value=5),
+        ).map(lambda pair: tuple(pair[0]) * pair[1]),
+    )
+)
+
+
+@given(_alphabet_words)
+def test_min_rotation_matches_min_of_rotations(letters):
+    assert _min_rotation(letters) == _min_rotation_reference(letters)
+
+
+@given(st.lists(st.sampled_from(("X", "Y", "Y2")), max_size=16).map(tuple))
+def test_cyclic_reduce_matches_reference(letters):
+    reduced = _reduce_z2z3(letters, "X", _Y_EXP)
+    for word in (letters, reduced):
+        assert _cyclic_reduce_z2z3(word, "X", _Y_EXP) == _cyclic_reduce_reference(
+            word, "X", _Y_EXP
+        )

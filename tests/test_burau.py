@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.burau import Laurent, burau_matrix, determinant, trace
-from braidcalc.words import parse_word
+from braidcalc.words import BraidWord, parse_word
 
-from conftest import braid_words
+from conftest import braid_words, syllable_words
 
 T = Laurent.term(1, 1)
 ONE = Laurent.one()
@@ -125,6 +125,16 @@ def test_determinant_bareiss_frozen():
 def test_burau_respects_inverse(w):
     size = w.strands - 1
     assert _mat_mul(burau_matrix(w), burau_matrix(w.inverse())) == _identity(size)
+
+
+@settings(deadline=None)
+@given(syllable_words())
+def test_burau_matches_product_of_letter_matrices(w):
+    """The syllable updates against the plain product of generator matrices."""
+    product = _identity(w.strands - 1)
+    for letter in w.letters:
+        product = _mat_mul(product, burau_matrix(BraidWord(w.strands, (letter,))))
+    assert burau_matrix(w) == product
 
 
 @given(braid_words(min_strands=3, max_strands=3, max_length=8))

@@ -136,71 +136,138 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
 
 
 @pytest.mark.parametrize(
-    "argv, files",
+    "argv, files, message",
     [
-        (["flype", "--desc", "{tmp}/missing.json"], {}),
-        (["flype", "--desc", "{tmp}/bad.json"], {"bad.json": "{broken"}),
-        (["certify", "--p", "2", "--q", "4", "--r", "3", "--out", "{tmp}/nodir/x.txt"], {}),
-        (["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": 5, %s}' % TOWER_HEAD}),
-        (["tower-validate", "{tmp}/t.json"], {"t.json": "[]"}),
-        (["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": [5], %s}' % TOWER_HEAD}),
-        (
+        pytest.param(
+            ["flype", "--desc", "{tmp}/missing.json"], {}, "No such file or directory",
+            id="desc-missing",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/bad.json"], {"bad.json": "{broken"},
+            "Expecting property name", id="desc-invalid-json",
+        ),
+        pytest.param(
+            ["certify", "--p", "2", "--q", "4", "--r", "3", "--out", "{tmp}/nodir/x.txt"], {},
+            "No such file or directory", id="out-missing-dir",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": 5, %s}' % TOWER_HEAD},
+            "bad tower description: 'moves' must be a JSON array", id="tower-moves-not-list",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"], {"t.json": "[]"},
+            "bad tower description: a tower description must be a JSON object",
+            id="tower-top-level-array",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"], {"t.json": '{"moves": [5], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 must be a JSON object, got 5",
+            id="tower-move-not-object",
+        ),
+        pytest.param(
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "stabilize", "sign": [1]}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 is a malformed stabilize move",
+            id="tower-sign-not-int",
         ),
-        (["flype", "--desc", "{tmp}/d.json"], {"d.json": "[]"}),
-        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '"x"'}),
-        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '{%s, "assignment": 5}' % FLYPE_HEAD}),
-        (
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"], {"d.json": "[]"},
+            "a template description must be a JSON object", id="desc-top-level-array",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"], {"d.json": '"x"'},
+            "a template description must be a JSON object", id="desc-top-level-string",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{%s, "assignment": 5}' % FLYPE_HEAD},
+            "assignment must map block ids to word strings", id="desc-assignment-not-object",
+        ),
+        pytest.param(
             ["flype", "--desc", "{tmp}/d.json"],
             {"d.json": '{%s, "assignment": {"P": 5, "R": "s1", "Q": "s1"}}' % FLYPE_HEAD},
+            "assignment must map block ids to word strings", id="desc-word-not-string",
         ),
-        (["flype", "--desc", "{tmp}/d.json"], {"d.json": '{"kind": ["flype"]}'}),
-        (
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"], {"d.json": '{"kind": ["flype"]}'},
+            "unknown template kind ['flype']", id="desc-kind-not-string",
+        ),
+        pytest.param(
             ["flype", "--desc", "{tmp}/d.json"],
             {"d.json": '{"kind": "exchange", "params": {"weight": "2"}}'},
+            "params for exchange must be integers", id="desc-param-not-int",
         ),
-        (
+        pytest.param(
             ["flype", "--desc", "{tmp}/d.json"],
             {"d.json": '{"kind": "flype", "params": {"sign": -1, "w": 1}}'},
+            "bad params for flype", id="desc-weight-param",
         ),
-        (
+        pytest.param(
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "exchange", "split": [2.9, "4"]}], %s}'
              % EXCHANGE_HEAD},
+            "bad tower description: move 0 is a malformed exchange move",
+            id="tower-split-not-int",
         ),
-        (
+        pytest.param(
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "stabilize", "sign": "1"}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 is a malformed stabilize move",
+            id="tower-sign-string",
         ),
-        (
+        pytest.param(
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "destabilize", "sign": true}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 is a malformed destabilize move",
+            id="tower-sign-bool",
         ),
-        (
+        pytest.param(
             ["tower-validate", "{tmp}/t.json"],
             {"t.json": '{"moves": [{"kind": "stabilize", "sign": -0.5}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 is a malformed stabilize move",
+            id="tower-sign-fraction",
         ),
-        (
+        pytest.param(
             ["flype", "--desc", "{tmp}/d.json"],
             {"d.json": '{"kind": "flype", "params": {"sign": true}, '
                        '"assignment": {"P": "s1", "R": "s1", "Q": "s1"}}'},
+            "params for flype must be integers", id="desc-param-bool",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize"}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 (stabilize) has no 'sign'",
+            id="tower-stabilize-no-sign",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize", "sign": 1}, {"kind": "conjugate"}], %s}'
+             % TOWER_HEAD},
+            "bad tower description: move 1 (conjugate) has no 'conjugator'",
+            id="tower-conjugate-no-conjugator",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "exchange"}], %s}' % EXCHANGE_HEAD},
+            "bad tower description: move 0 (exchange) has no 'split'",
+            id="tower-exchange-no-split",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"mode": "transversal", "moves": []}'},
+            "bad tower description: missing key 'initial_word'",
+            id="tower-no-initial-word",
         ),
     ],
-    ids=["desc-missing", "desc-invalid-json", "out-missing-dir", "tower-moves-not-list",
-         "tower-top-level-array", "tower-move-not-object", "tower-sign-not-int",
-         "desc-top-level-array", "desc-top-level-string", "desc-assignment-not-object",
-         "desc-word-not-string", "desc-kind-not-string", "desc-param-not-int",
-         "desc-weight-param", "tower-split-not-int", "tower-sign-string", "tower-sign-bool",
-         "tower-sign-fraction", "desc-param-bool"],
 )
-def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files):
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_certify_exit_codes(capsys):
