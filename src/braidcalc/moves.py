@@ -279,6 +279,8 @@ def _move_from_obj(obj: dict, strands: int, index: int) -> Move:
             return Exchange((_json_int(i), _json_int(j)))
     except KeyError as exc:
         raise ValueError(f"move {index} ({kind}) has no {exc.args[0]!r}") from None
+    except ValueError as exc:  # a bad conjugator word or a split of the wrong length
+        raise ValueError(f"move {index} ({kind}): {exc}") from None
     except (TypeError, AttributeError):
         raise ValueError(f"move {index} is a malformed {kind} move: {obj!r}") from None
     raise ValueError(f"move {index} has unknown kind {kind!r}")
@@ -297,7 +299,10 @@ def tower_to_json(tower: MarkovTower) -> str:
 
 def tower_from_json(text: str) -> MarkovTower:
     """Rebuild a tower from its JSON description by replaying the moves."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("a tower description must be a JSON object")
     for key, kind in (("initial_word", str), ("moves", list), ("mode", str)):
@@ -309,5 +314,8 @@ def tower_from_json(text: str) -> MarkovTower:
     moves: list[Move] = []
     for index, raw in enumerate(obj["moves"]):
         moves.append(_move_from_obj(raw, states[-1].strands, index))
-        states.append(moves[-1].apply(states[-1]))
+        try:
+            states.append(moves[-1].apply(states[-1]))
+        except ValueError as exc:
+            raise ValueError(f"move {index} ({raw['kind']}): {exc}") from None
     return MarkovTower(obj["mode"], tuple(states), tuple(moves))

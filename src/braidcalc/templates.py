@@ -342,7 +342,10 @@ def parse_template_description(text: str) -> Tuple[Template, BraidingAssignment]
     The document is an object with a "kind" name, a "params" object of
     integers and an "assignment" object mapping block ids to word text.
     """
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise TemplateError("JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise TemplateError("a template description must be a JSON object")
     name = payload.get("kind")

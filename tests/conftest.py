@@ -9,6 +9,7 @@ def braid_words(
     min_strands: int = 1,
     max_strands: int = 5,
     max_length: int = 12,
+    min_length: int = 0,
 ) -> st.SearchStrategy[BraidWord]:
     def build(n: int) -> st.SearchStrategy[BraidWord]:
         if n == 1:
@@ -19,7 +20,7 @@ def braid_words(
         return st.builds(
             BraidWord,
             st.just(n),
-            st.lists(letter, max_size=max_length).map(tuple),
+            st.lists(letter, min_size=min_length, max_size=max_length).map(tuple),
         )
 
     return st.integers(min_value=min_strands, max_value=max_strands).flatmap(build)

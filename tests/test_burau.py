@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidcalc.burau import Laurent, burau_matrix, determinant, trace
+from braidcalc.burau import (
+    _PACKED_MIN,
+    Laurent,
+    _divexact_packed,
+    _divexact_schoolbook,
+    _mul_packed,
+    _mul_schoolbook,
+    burau_matrix,
+    determinant,
+    trace,
+)
 from braidcalc.words import BraidWord, parse_word
 
 from conftest import braid_words, syllable_words
@@ -219,3 +229,73 @@ def test_dense_laurent_matches_dict_reference(a, b, k):
     if _ref(b):
         assert (p * q).divexact(q) == p
         assert (p * q).divexact(p) == q
+
+
+@st.composite
+def dense_coeffs(draw):
+    """Coefficient tuples of length 0-40 with nonzero ends, entries up to
+    +-2^80, either of mixed sign or all positive (the largest products)."""
+    top = 1 << draw(st.integers(min_value=0, max_value=80))
+    low = 1 if draw(st.booleans()) else -top
+    coeffs = draw(st.lists(st.integers(min_value=low, max_value=top), max_size=40))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    return tuple(coeffs)
+
+
+def _quotient(divide, num, div):
+    try:
+        return divide(num, div)
+    except ValueError:
+        return "inexact"
+
+
+@settings(deadline=None)
+@given(dense_coeffs(), dense_coeffs())
+@example((7,) * 40, (7,) * 40)
+@example((2**80 - 1,) * 40, (2**80 - 1,) * 33)
+def test_packed_matches_schoolbook(a, b):
+    """Kronecker-packed products and quotients against the schoolbook loops,
+    called directly so that sizes below the packing threshold count too."""
+    p, q = Laurent(0, a), Laurent(-3, b)
+    assert (p * q).is_zero() == (not a or not b)
+    if not a or not b:
+        return
+    product = _mul_schoolbook(a, b)
+    assert _mul_packed(a, b) == product
+    assert (p * q).coeffs == tuple(product)
+    for factor, other in ((a, b), (b, a)):
+        assert _divexact_packed(tuple(product), factor) == list(other)
+        assert _divexact_schoolbook(tuple(product), factor) == list(other)
+    assert (p * q).divexact(q) == p
+    # mostly inexact: both routes agree on the quotient or both refuse
+    assert _quotient(_divexact_packed, a, b) == _quotient(_divexact_schoolbook, a, b)
+
+
+@pytest.mark.parametrize("num, div", [((1,), (1, 1)), ((1, 0, 1), (1, 1)), ((1,) * 20, (1,) * 16)])
+def test_packed_division_refuses_inexact(num, div):
+    for divide in (_divexact_packed, _divexact_schoolbook):
+        with pytest.raises(ValueError):
+            divide(num, div)
+
+
+@pytest.mark.parametrize("height", [1, 2, 127, 128, 300])
+def test_packed_quotient_wider_than_numerator(height):
+    """(1 - t^s) times the tent 1, 2, ..., m, ..., 2, 1 has coefficients of
+    at most s in size, yet the quotient reaches m: its packed digits
+    overflow the numerator's width and the multiply-back check sends the
+    division to the schoolbook route.  Divided by the tent instead, the
+    divisor is the wide one."""
+    tent = tuple(range(1, height)) + tuple(range(height, 0, -1))
+    ramps = tuple(_mul_schoolbook((1, -1), tent))
+    assert _divexact_packed(ramps, (1, -1)) == list(tent)
+    assert _divexact_packed(ramps, tent) == [1, -1]
+    # the same through Laurent, with operands long enough to be packed
+    step = Laurent(0, (1,) + (0,) * (_PACKED_MIN - 1) + (-1,))
+    num = step * Laurent(0, tent)
+    assert max(map(abs, num.coeffs)) <= _PACKED_MIN
+    assert num.divexact(step) == Laurent(0, tent)
+    assert num.divexact(Laurent(0, tent)) == step
+

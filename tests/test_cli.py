@@ -258,6 +258,35 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
             "bad tower description: missing key 'initial_word'",
             id="tower-no-initial-word",
         ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"], {"t.json": "[" * 100_000},
+            "bad tower description: JSON nested too deeply", id="tower-deep-nesting",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"], {"d.json": '{"kind": ' + "[" * 100_000},
+            "JSON nested too deeply", id="desc-deep-nesting",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "exchange", "split": [1, 2, 3]}], %s}'
+             % EXCHANGE_HEAD},
+            "bad tower description: move 0 (exchange): too many values to unpack",
+            id="tower-split-three-values",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "stabilize", "sign": 1}, '
+                       '{"kind": "conjugate", "conjugator": "x1"}], %s}' % TOWER_HEAD},
+            "bad tower description: move 1 (conjugate): bad letter token: 'x1'",
+            id="tower-conjugator-bad-letter",
+        ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"initial_word": "n=3 s1 s1", "mode": "topological", '
+                       '"moves": [{"kind": "destabilize", "sign": 1}]}'},
+            "bad tower description: move 0 (destabilize): last generator must occur exactly once",
+            id="tower-destabilize-not-applicable",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from hypothesis import given
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
 
 from braidcalc.burau import Laurent, burau_matrix, determinant
 from braidcalc.links import alexander_polynomial, components, linking_matrix
@@ -93,3 +96,75 @@ def test_three_strand_closed_form_matches_bareiss(w: BraidWord):
     )
     expected = determinant(b_minus_i).divexact(Laurent.from_dict({0: 1, 1: 1, 2: 1}))
     assert alexander_polynomial(w) == expected.unit_normalized()
+
+
+# A second Alexander route that shares no matrix with the library: the
+# unreduced n x n Burau matrix, built letter by letter, and the Leibniz
+# expansion of an (n-1)-minor of I - B, which needs no division.  That
+# minor is the Alexander polynomial up to units; the reduced route's
+# division by 1 + t + ... + t^(n-1) belongs to det(I - B) of the reduced
+# matrix, and applied here it would be inexact (t / (1 + t) for s1 on
+# two strands).
+
+
+def _unreduced_burau(word: BraidWord):
+    """sigma_i acts as the identity except for [[1-t, t], [1, 0]] at (i, i)."""
+    n = word.strands
+    one, zero = Laurent.one(), Laurent.zero()
+    cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for index, sign in word.letters:
+        c = index - 1
+        x, y = cols[c], cols[c + 1]
+        if sign > 0:
+            cols[c] = [a - a.shift(1) + b for a, b in zip(x, y)]
+            cols[c + 1] = [a.shift(1) for a in x]
+        else:
+            cols[c] = [b.shift(-1) for b in y]
+            cols[c + 1] = [a + b - b.shift(-1) for a, b in zip(x, y)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _leibniz(m):
+    total = Laurent.zero()
+    for perm in permutations(range(len(m))):
+        term = Laurent.one()
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        odd = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m))) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+def _alexander_by_unreduced_minor(word: BraidWord) -> Laurent:
+    b = _unreduced_burau(word)
+    size = word.strands - 1
+    minor = [
+        [(Laurent.one() if i == j else Laurent.zero()) - b[i][j] for j in range(size)]
+        for i in range(size)
+    ]
+    return _leibniz(minor).unit_normalized()
+
+
+@pytest.mark.parametrize(
+    "text, coeffs",
+    [
+        ("n=1", (1,)),
+        ("n=2", ()),  # split unlink
+        ("n=2 s1", (1,)),
+        ("n=2 s1^2", (-1, 1)),  # Hopf link
+        ("n=2 s1^-2", (-1, 1)),
+        ("n=2 s1^3", (1, -1, 1)),  # trefoil
+        ("n=3 s1 s2^-1 s1 s2^-1", (1, -3, 1)),  # figure-eight
+    ],
+)
+def test_unreduced_minor_normalization_frozen(text, coeffs):
+    assert _alexander_by_unreduced_minor(parse_word(text)) == Laurent(0, coeffs)
+
+
+@settings(deadline=None)
+@given(braid_words(min_strands=2, max_strands=5, min_length=30, max_length=80))
+def test_alexander_matches_unreduced_minor(w: BraidWord):
+    """Words this long make Bareiss products and quotients long enough to
+    be Kronecker-packed."""
+    assert alexander_polynomial(w) == _alexander_by_unreduced_minor(w)
+
