@@ -8,7 +8,7 @@ the two sides would have to preserve those per-component numbers, so
 the swap obstructs it.
 """
 
-from braidcalc import parse_word
+from braidcalc.words import parse_word
 from braidcalc.links import alexander_polynomial
 from braidcalc.templates import (
     BraidingAssignment,

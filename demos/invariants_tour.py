@@ -6,7 +6,7 @@ Parse a braid word, read off the numbers attached to its closure, and
 take the link apart component by component.
 """
 
-from braidcalc import parse_word
+from braidcalc.words import parse_word
 from braidcalc.links import alexander_polynomial, components, linking_matrix
 
 # the positive trefoil as a 2-strand braid

@@ -6,7 +6,7 @@ separating arcs each move contributes and checks the bookkeeping
 identity against the self-linking drift.
 """
 
-from braidcalc import parse_word
+from braidcalc.words import parse_word
 from braidcalc.moves import (
     ConjugateBy,
     Destabilize,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
-from .burau import Laurent, burau_matrix, determinant, trace
+from .burau import Laurent, burau_matrix, trace
 from .words import BraidWord, sigma_power
 
 __all__ = [
@@ -329,8 +329,9 @@ def _psl2z_class(word: BraidWord) -> tuple[str, ...]:
 
 
 def _char_poly_key(word: BraidWord) -> tuple[Laurent, Laurent]:
-    m = burau_matrix(word)
-    return trace(m), determinant(m)
+    # the reduced Burau matrix of a 3-braid has determinant (-t)^(exponent sum)
+    e = word.exponent_sum()
+    return trace(burau_matrix(word)), Laurent.term(-1 if e % 2 else 1, e)
 
 
 _BATTERY_FUNCTIONS: dict[str, Callable[[BraidWord], object]] = {

@@ -5,12 +5,18 @@ Python ints, so nothing overflows.  A polynomial is a lowest power plus
 the dense run of coefficients from there up, so sums and shifts are
 list operations.  Products and exact quotients of short polynomials are
 schoolbook loops; long ones are Kronecker-packed, each one big-integer
-multiplication or divmod.  The reduced Burau matrix of a word on n
-strands is (n-1) x (n-1) and is built column by column, one syllable
-(a generator with its power, such as s1^5) at a time.  A syllable of one
-or two letters shifts and adds one or two columns per letter; a longer
-one updates them once, in closed form, at a cost linear in the degree
-spread plus the power.  No step multiplies two polynomials.
+multiplication or divmod.  A packed quotient is accepted when its digits
+are too narrow to have carried into each other, which proves it exact
+without multiplying back.  The Bareiss determinant packs each operand
+once per elimination step, at one digit width for the step, and computes
+every entry as one difference of packed products and one divmod.
+
+The reduced Burau matrix of a word on n strands is (n-1) x (n-1) and is
+built column by column, one syllable (a generator with its power, such
+as s1^5) at a time.  A syllable of one or two letters shifts and adds
+one or two columns per letter; a longer one updates them once, in closed
+form, at a cost linear in the degree spread plus the power.  No step
+multiplies two polynomials.
 """
 
 from __future__ import annotations
@@ -48,17 +54,6 @@ class Laurent:
     coeffs: tuple[int, ...] = ()
 
     @classmethod
-    def from_dict(cls, coeffs: dict[int, int]) -> Laurent:
-        powers = [p for p, c in coeffs.items() if c != 0]
-        if not powers:
-            return _ZERO
-        low = min(powers)
-        dense = [0] * (max(powers) - low + 1)
-        for p in powers:
-            dense[p - low] = coeffs[p]
-        return cls(low, tuple(dense))
-
-    @classmethod
     def zero(cls) -> Laurent:
         return _ZERO
 
@@ -88,10 +83,6 @@ class Laurent:
         if not self.coeffs:
             raise ValueError("zero polynomial has no degree")
         return self.low + len(self.coeffs) - 1
-
-    def coeff(self, power: int) -> int:
-        i = power - self.low
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def _combine(self, other: Laurent, op) -> Laurent:
         a, b = self.coeffs, other.coeffs
@@ -265,28 +256,49 @@ def _mul_packed(a: tuple[int, ...] | list[int], b: tuple[int, ...]) -> list[int]
     return _unpack(_pack(a, nb) * _pack(b, nb), len(a) + len(b) - 1, nb)
 
 
+def _packed_quotient(
+    num: int, div: int, size: int, nb: int, div_bits: int, div_len: int
+) -> list[int] | None:
+    """The ``size`` digits of the quotient num / div of packed integers, or None.
+
+    ``num`` and ``div`` pack polynomials N and D whose coefficients fit
+    signed digits of nb bytes, and D has div_len coefficients below
+    2^div_bits in size.  The digits q are accepted when the remainder is
+    0, they unpack, and bits(max|q|) + div_bits + bits(min(size, div_len))
+    + 2 <= 8*nb.  The last test keeps every coefficient of q*D inside a
+    digit, so q*D and N are polynomials with in-range digits that agree at
+    t = 2^(8*nb); as signed digits are unique, q*D = N.  A quotient whose
+    coefficients outgrow the width carries between digits and is refused.
+    """
+    quot, rem = divmod(num, div)
+    if rem:
+        return None
+    try:
+        digits = _unpack(quot, size, nb)
+    except OverflowError:  # a quotient digit outgrew the width
+        return None
+    top = max(map(abs, digits)).bit_length()
+    if top + div_bits + min(size, div_len).bit_length() + 2 > 8 * nb:
+        return None
+    return digits
+
+
 def _divexact_packed(num: tuple[int, ...], div: tuple[int, ...]) -> list[int]:
     """Exact quotient by one divmod of the packed integers.
 
     The digit width fits the coefficients of the numerator and of the
-    divisor, but a quotient's can be wider, and then its digits carry into
-    each other.  So the quotient is accepted only when it multiplies back
-    to the numerator; otherwise the schoolbook division decides, returning
-    the quotient or raising ValueError.
+    divisor, with room for a quotient as wide as the numerator to pass
+    the width test of ``_packed_quotient``.  A quotient refused there is
+    left to the schoolbook division, which returns it or raises ValueError.
     """
     size = len(num) - len(div) + 1
     if size > 0:
-        top = max(max(map(abs, num)), max(map(abs, div)))
-        nb = (top.bit_length() + 2 + 7) // 8
-        packed, rem = divmod(_pack(num, nb), _pack(div, nb))
-        if not rem:
-            try:
-                quot = _unpack(packed, size, nb)
-            except OverflowError:  # a quotient digit outgrew the width
-                pass
-            else:
-                if quot[0] and quot[-1] and _mul_packed(quot, div) == list(num):
-                    return quot
+        div_bits = max(map(abs, div)).bit_length()
+        top = max(max(map(abs, num)).bit_length(), div_bits)
+        nb = (top + div_bits + min(size, len(div)).bit_length() + 2 + 7) // 8
+        quot = _packed_quotient(_pack(num, nb), _pack(div, nb), size, nb, div_bits, len(div))
+        if quot is not None:
+            return quot
     return _divexact_schoolbook(num, div)
 
 
@@ -377,8 +389,67 @@ def burau_matrix(word: BraidWord) -> Matrix:
     return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
 
 
+def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
+    """Eliminate below the pivot a[k][k], whose predecessor was ``prev``.
+
+    Every a[i][j] with i, j > k becomes (a_kk*a_ij - a_ik*a_kj) / prev,
+    an exact quotient, and a[i][k] becomes zero.  One digit width serves
+    the whole step: with B the largest coefficient bits and L the longest
+    entry of the active submatrix, every numerator has coefficients below
+    2^(2B + bits(L) + 1), and the width fits prev too.  The pivot, its
+    row, each a_ik and prev are packed once.  Each numerator is the
+    difference of two packed products, aligned by shifting whole digits,
+    and is divided by one divmod; only the quotient is unpacked.  An
+    entry whose quotient ``_packed_quotient`` refuses is computed again
+    by Laurent arithmetic.
+    """
+    size = len(a)
+    active = [x.coeffs for row in a[k:] for x in row[k:] if x.coeffs]
+    top = max([max(map(abs, c)) for c in active]).bit_length()
+    longest = max(map(len, active)).bit_length()
+    div_bits = max(map(abs, prev.coeffs)).bit_length()
+    nb = (max(2 * top + longest, div_bits) + 2 + 7) // 8
+    width = 8 * nb
+    div, div_len = _pack(prev.coeffs, nb), len(prev.coeffs)
+    pivot = a[k][k]
+    piv, piv_len = _pack(pivot.coeffs, nb), len(pivot.coeffs)
+    row = [(x.low, len(x.coeffs), _pack(x.coeffs, nb)) for x in a[k][k + 1:]]
+    for i in range(k + 1, size):
+        ai = a[i]
+        c = ai[k]
+        col, col_len = _pack(c.coeffs, nb), len(c.coeffs)
+        for j, (r_low, r_len, r) in enumerate(row, k + 1):
+            x = ai[j]
+            # (low, high, value) of a_kk*a_ij and of -a_ik*a_kj, where nonzero
+            terms = []
+            if x.coeffs:
+                low = pivot.low + x.low
+                terms.append((low, low + piv_len + len(x.coeffs) - 2, piv * _pack(x.coeffs, nb)))
+            if col and r:
+                low = c.low + r_low
+                terms.append((low, low + col_len + r_len - 2, -col * r))
+            low = min([t[0] for t in terms], default=0)
+            num = sum([value << width * (t_low - low) for t_low, _, value in terms])
+            if not num:
+                ai[j] = _ZERO
+                continue
+            quot_len = max([t[1] for t in terms]) - low + 2 - div_len
+            quot = None
+            if quot_len > 0:
+                quot = _packed_quotient(num, div, quot_len, nb, div_bits, div_len)
+            if quot is None:
+                ai[j] = (pivot * x - c * a[k][j]).divexact(prev)
+            else:
+                ai[j] = _trimmed(low - prev.low, quot)
+        ai[k] = _ZERO
+
+
 def determinant(m: Matrix) -> Laurent:
-    """Fraction-free Bareiss determinant; exact over Z[t, t^-1]."""
+    """Fraction-free Bareiss determinant; exact over Z[t, t^-1].
+
+    Each elimination step runs on Kronecker-packed integers, one digit
+    width per step (see ``_bareiss_step``).
+    """
     size = len(m)
     if size == 0:
         return Laurent.one()
@@ -394,10 +465,7 @@ def determinant(m: Matrix) -> Laurent:
                     break
             else:
                 return Laurent.zero()
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
-            a[i][k] = Laurent.zero()
+        _bareiss_step(a, k, prev)
         prev = a[k][k]
     det = a[size - 1][size - 1]
     return det if sign == 1 else -det

@@ -37,7 +37,6 @@ __all__ = [
     "MoveError",
     "NotDestabilizable",
     "InvalidSplit",
-    "find_exchange_splits",
     "MarkovTower",
     "tower_from_moves",
     "FoliationCounts",
@@ -136,19 +135,6 @@ class Exchange:
 
 
 Move = Union[Stabilize, Destabilize, ConjugateBy, Exchange]
-
-
-def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:
-    """All positions where an exchange move applies to the word as written."""
-    out: list[tuple[int, int]] = []
-    j = len(word.letters) - 1
-    for i in range(j):
-        try:
-            Exchange((i, j)).apply(word)
-        except InvalidSplit:
-            continue
-        out.append((i, j))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,36 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from braidcalc.burau import Laurent
+from braidcalc.moves import Exchange, InvalidSplit
 from braidcalc.words import BraidWord, sigma_power
+
+
+def laurent(terms: dict[int, int]) -> Laurent:
+    """The polynomial sum(c * t^p for p, c in terms.items())."""
+    powers = [p for p, c in terms.items() if c]
+    if not powers:
+        return Laurent.zero()
+    low = min(powers)
+    return Laurent(low, tuple(terms.get(p, 0) for p in range(low, max(powers) + 1)))
+
+
+def coeff(poly: Laurent, power: int) -> int:
+    i = power - poly.low
+    return poly.coeffs[i] if 0 <= i < len(poly.coeffs) else 0
+
+
+def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:
+    """All positions where an exchange move applies to the word as written."""
+    out: list[tuple[int, int]] = []
+    j = len(word.letters) - 1
+    for i in range(j):
+        try:
+            Exchange((i, j)).apply(word)
+        except InvalidSplit:
+            continue
+        out.append((i, j))
+    return tuple(out)
 
 
 def braid_words(

@@ -32,6 +32,8 @@ from braidcalc.cli import main
 from braidcalc.links import alexander_polynomial, components, linking_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
+from conftest import find_exchange_splits
+
 
 def admissible_triples(bound: int) -> list[tuple[int, int, int]]:
     return [
@@ -155,7 +157,7 @@ def random_transversal_tower(rng: random.Random) -> mv.MarkovTower:
             pass
         else:
             options.append(mv.Destabilize(1))
-        splits = mv.find_exchange_splits(word)
+        splits = find_exchange_splits(word)
         if splits:
             options.append(mv.Exchange(rng.choice(splits)))
         options.append(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcalc.burau as burau
 from braidcalc.burau import (
     _PACKED_MIN,
     Laurent,
@@ -11,13 +12,15 @@ from braidcalc.burau import (
     _divexact_schoolbook,
     _mul_packed,
     _mul_schoolbook,
+    _pack,
+    _packed_quotient,
     burau_matrix,
     determinant,
     trace,
 )
 from braidcalc.words import BraidWord, parse_word
 
-from conftest import braid_words, syllable_words
+from conftest import braid_words, coeff, laurent, syllable_words
 
 T = Laurent.term(1, 1)
 ONE = Laurent.one()
@@ -41,33 +44,33 @@ def _mat_mul(a, b):
 
 
 def test_laurent_arithmetic():
-    p = Laurent.from_dict({0: 1, 1: -1})  # 1 - t
-    q = Laurent.from_dict({-1: 2, 2: 3})
-    assert p + q == Laurent.from_dict({-1: 2, 0: 1, 1: -1, 2: 3})
-    assert p * p == Laurent.from_dict({0: 1, 1: -2, 2: 1})
+    p = laurent({0: 1, 1: -1})  # 1 - t
+    q = laurent({-1: 2, 2: 3})
+    assert p + q == laurent({-1: 2, 0: 1, 1: -1, 2: 3})
+    assert p * p == laurent({0: 1, 1: -2, 2: 1})
     assert (p - p).is_zero()
-    assert p.shift(3) == Laurent.from_dict({3: 1, 4: -1})
+    assert p.shift(3) == laurent({3: 1, 4: -1})
     assert str(p) == "1 - t"
     assert str(Laurent.zero()) == "0"
-    assert str(Laurent.from_dict({-2: 1, 0: -3, 1: 1})) == "t^-2 - 3 + t"
+    assert str(laurent({-2: 1, 0: -3, 1: 1})) == "t^-2 - 3 + t"
 
 
 def test_divexact():
     # (t^3 + 1) / (t + 1) = t^2 - t + 1
-    num = Laurent.from_dict({3: 1, 0: 1})
-    den = Laurent.from_dict({1: 1, 0: 1})
-    assert num.divexact(den) == Laurent.from_dict({2: 1, 1: -1, 0: 1})
+    num = laurent({3: 1, 0: 1})
+    den = laurent({1: 1, 0: 1})
+    assert num.divexact(den) == laurent({2: 1, 1: -1, 0: 1})
     with pytest.raises(ValueError):
-        Laurent.from_dict({1: 1}).divexact(den)
+        laurent({1: 1}).divexact(den)
     with pytest.raises(ValueError):
-        Laurent.from_dict({2: 1, 0: 1}).divexact(den)  # remainder 2
+        laurent({2: 1, 0: 1}).divexact(den)  # remainder 2
     shifted = num.shift(-2)
-    assert shifted.divexact(den) == Laurent.from_dict({0: 1, -1: -1, -2: 1})
+    assert shifted.divexact(den) == laurent({0: 1, -1: -1, -2: 1})
 
 
 def test_unit_normalized():
-    p = Laurent.from_dict({-1: -1, 0: 1, 1: -1})  # -t^-1 + 1 - t
-    assert p.unit_normalized() == Laurent.from_dict({0: 1, 1: -1, 2: 1})
+    p = laurent({-1: -1, 0: 1, 1: -1})  # -t^-1 + 1 - t
+    assert p.unit_normalized() == laurent({0: 1, 1: -1, 2: 1})
     assert Laurent.zero().unit_normalized() == Laurent.zero()
     assert Laurent.term(-5).unit_normalized() == Laurent.term(5)
 
@@ -125,7 +128,7 @@ def test_determinant_bareiss_frozen():
         (z, Laurent.term(1), Laurent.term(3)),
     )
     # det = 2*(3t - 1) - 1*3 = 6t - 5
-    assert determinant(m) == Laurent.from_dict({1: 6, 0: -5})
+    assert determinant(m) == laurent({1: 6, 0: -5})
     assert determinant(()) == ONE
     singular = ((z, z), (z, ONE))
     assert determinant(singular) == Laurent.zero()
@@ -209,7 +212,7 @@ def _assert_matches(poly, ref):
 
 @given(polys, polys, st.integers(min_value=-5, max_value=5))
 def test_dense_laurent_matches_dict_reference(a, b, k):
-    p, q = Laurent.from_dict(a), Laurent.from_dict(b)
+    p, q = laurent(a), laurent(b)
     _assert_matches(p, a)
     assert str(p) == _ref_str(a)
     assert p.is_zero() == (not _ref(a))
@@ -218,7 +221,7 @@ def test_dense_laurent_matches_dict_reference(a, b, k):
     _assert_matches(-p, {e: -c for e, c in a.items()})
     _assert_matches(p * q, _ref_mul(a, b))
     _assert_matches(p.shift(k), {e + k: c for e, c in a.items()})
-    assert all(p.coeff(e) == a.get(e, 0) for e in range(-8, 9))
+    assert all(coeff(p, e) == a.get(e, 0) for e in range(-8, 9))
     if not _ref(a):
         assert p.unit_normalized() == p
         return
@@ -285,11 +288,16 @@ def test_packed_division_refuses_inexact(num, div):
 def test_packed_quotient_wider_than_numerator(height):
     """(1 - t^s) times the tent 1, 2, ..., m, ..., 2, 1 has coefficients of
     at most s in size, yet the quotient reaches m: its packed digits
-    overflow the numerator's width and the multiply-back check sends the
-    division to the schoolbook route.  Divided by the tent instead, the
+    overflow the numerator's width and the width test sends the division
+    to the schoolbook route.  Divided by the tent instead, the
     divisor is the wide one."""
     tent = tuple(range(1, height)) + tuple(range(height, 0, -1))
     ramps = tuple(_mul_schoolbook((1, -1), tent))
+    # the shared quotient test itself, at the one-byte width that fits the
+    # numerator and the divisor: it refuses every tent above height 2, so
+    # also the carried digits the divmod leaves from height 128 on
+    quot = _packed_quotient(_pack(ramps, 1), _pack((1, -1), 1), len(tent), 1, 1, 2)
+    assert quot == (list(tent) if height <= 2 else None)
     assert _divexact_packed(ramps, (1, -1)) == list(tent)
     assert _divexact_packed(ramps, tent) == [1, -1]
     # the same through Laurent, with operands long enough to be packed
@@ -299,3 +307,73 @@ def test_packed_quotient_wider_than_numerator(height):
     assert num.divexact(step) == Laurent(0, tent)
     assert num.divexact(Laurent(0, tent)) == step
 
+
+def _school_mul(p, q):
+    if p.is_zero() or q.is_zero():
+        return Laurent.zero()
+    return Laurent(p.low + q.low, tuple(_mul_schoolbook(p.coeffs, q.coeffs)))
+
+
+def _school_div(p, q):
+    if p.is_zero():
+        return p
+    return Laurent(p.low - q.low, tuple(_divexact_schoolbook(p.coeffs, q.coeffs)))
+
+
+def _bareiss_reference(m):
+    """Bareiss with only the schoolbook product and quotient; the slow route."""
+    size = len(m)
+    if size == 0:
+        return ONE
+    a = [list(row) for row in m]
+    sign, prev = 1, ONE
+    for k in range(size - 1):
+        if a[k][k].is_zero():
+            swap = next((r for r in range(k + 1, size) if not a[r][k].is_zero()), None)
+            if swap is None:
+                return Laurent.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = _school_mul(a[k][k], a[i][j]) - _school_mul(a[i][k], a[k][j])
+                a[i][j] = _school_div(num, prev)
+        prev = a[k][k]
+    return a[-1][-1] if sign == 1 else -a[-1][-1]
+
+
+@st.composite
+def laurent_matrices(draw):
+    """Square matrices of size 1-6 with entries of 0-10 coefficients up to
+    +-2^80 and lows in -6..6; some with a zero pivot that forces a row swap,
+    some singular by a repeated or zero row."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    top = 1 << draw(st.integers(min_value=0, max_value=80))
+    coeffs = st.lists(st.integers(min_value=-top, max_value=top), max_size=10)
+    entry = st.builds(
+        lambda low, c: laurent(dict(enumerate(c, low))), st.integers(min_value=-6, max_value=6), coeffs
+    )
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    shape = draw(st.sampled_from(("plain", "zero pivot", "repeated row", "zero row")))
+    if shape == "zero pivot":
+        rows[0][0] = Laurent.zero()
+    elif shape == "repeated row" and size > 1:
+        rows[-1] = list(rows[0])
+    elif shape == "zero row":
+        rows[-1] = [Laurent.zero()] * size
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(deadline=None)
+@given(laurent_matrices())
+def test_determinant_matches_schoolbook_bareiss(m):
+    assert determinant(m) == _bareiss_reference(m)
+
+
+@settings(deadline=None, max_examples=30)
+@given(laurent_matrices())
+def test_determinant_falls_back_when_a_quotient_is_refused(m):
+    """With every packed quotient refused, each entry takes Laurent arithmetic."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burau, "_packed_quotient", lambda *args: None)
+        assert determinant(m) == _bareiss_reference(m)

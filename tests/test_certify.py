@@ -165,3 +165,11 @@ def test_certified_verdict_iff_every_check_passes(p, q, r):
     )
     assert report.certified == all_pass
     assert (report.verdict == VERDICT_CERTIFIED) == all_pass
+
+
+def test_submodule_import_binds_the_module():
+    """The package root re-exports nothing, so no function shadows its submodule."""
+    import braidcalc.certify as module
+
+    assert module.certify is certify
+    assert module.certify(FamilyParams(2, 5, 3)).certified

@@ -9,7 +9,7 @@ from braidcalc.burau import Laurent, burau_matrix, determinant
 from braidcalc.links import alexander_polynomial, components, linking_matrix
 from braidcalc.words import BraidWord, parse_word
 
-from conftest import braid_words
+from conftest import braid_words, laurent
 
 W_PLUS = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
 W_MINUS = parse_word("n=3 s1^3 s2^-1 s1^-5 s2^4")
@@ -52,10 +52,10 @@ def test_alexander_frozen():
     one = Laurent.one()
     assert alexander_polynomial(BraidWord(1, ())) == one
     assert alexander_polynomial(parse_word("n=2 s1")) == one
-    assert alexander_polynomial(parse_word("n=2 s1^3")) == Laurent.from_dict({0: 1, 1: -1, 2: 1})
-    assert alexander_polynomial(parse_word("n=2 s1^2")) == Laurent.from_dict({0: -1, 1: 1})
+    assert alexander_polynomial(parse_word("n=2 s1^3")) == laurent({0: 1, 1: -1, 2: 1})
+    assert alexander_polynomial(parse_word("n=2 s1^2")) == laurent({0: -1, 1: 1})
     figure8 = parse_word("n=3 s1 s2^-1 s1 s2^-1")
-    assert alexander_polynomial(figure8) == Laurent.from_dict({0: 1, 1: -3, 2: 1})
+    assert alexander_polynomial(figure8) == laurent({0: 1, 1: -3, 2: 1})
     # split 2-component unlink
     assert alexander_polynomial(BraidWord(2, ())).is_zero()
 
@@ -94,7 +94,7 @@ def test_three_strand_closed_form_matches_bareiss(w: BraidWord):
     b_minus_i = tuple(
         tuple(m[i][j] - (one if i == j else zero) for j in range(2)) for i in range(2)
     )
-    expected = determinant(b_minus_i).divexact(Laurent.from_dict({0: 1, 1: 1, 2: 1}))
+    expected = determinant(b_minus_i).divexact(laurent({0: 1, 1: 1, 2: 1}))
     assert alexander_polynomial(w) == expected.unit_normalized()
 
 

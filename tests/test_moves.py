@@ -13,7 +13,6 @@ from braidcalc.moves import (
     InvalidSplit,
     NotDestabilizable,
     Stabilize,
-    find_exchange_splits,
     tower_from_json,
     tower_from_moves,
     tower_to_json,
@@ -21,7 +20,7 @@ from braidcalc.moves import (
 )
 from braidcalc.words import BraidWord, parse_word
 
-from conftest import braid_words
+from conftest import braid_words, find_exchange_splits
 
 
 def test_stabilize():
