@@ -13,16 +13,19 @@ every entry as one difference of packed products and one divmod.
 
 The reduced Burau matrix of a word on n strands is (n-1) x (n-1) and is
 built column by column, one syllable (a generator with its power, such
-as s1^5) at a time.  A syllable of one or two letters shifts and adds
-one or two columns per letter; a longer one updates them once, in closed
-form, at a cost linear in the degree spread plus the power.  No step
-multiplies two polynomials.
+as s1^5) at a time, on Kronecker-packed integers: each entry of t^N * M,
+N the number of inverse letters, is held as its value at t = 2^w.  A
+letter is then a few shifts and adds of one or two integer columns, and
+a longer syllable is applied at once in O(log power) of them.  The digit
+width w comes from a bound on every coefficient, carried per column
+through the word before the walk, so each entry is unpacked once at the
+end and no digit can have carried into the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import add, sub
 
 from .words import BraidWord
@@ -306,19 +309,61 @@ def trace(m: Matrix) -> Laurent:
     return sum((m[i][i] for i in range(len(m))), Laurent.zero())
 
 
-def _series_times(d: Laurent, e: int) -> Laurent:
-    """S_e * d for S_e = (1 - (-t)^e) / (1 + t), any nonzero integer e.
+def _digit_bytes(syllables: list[tuple[int, int, int]], m: int) -> int:
+    """Bytes per packed digit of ``burau_matrix``, proven wide enough.
 
-    The numerator d - (-t)^e * d is divided exactly by 1 + t through the
-    alternating prefix sum q_k = a_k - q_(k-1), whose final term, the
-    remainder, is zero; the first and last quotient coefficients equal
-    the numerator's end coefficients, so the result needs no trimming.
+    Carries one bound per column on the size of every coefficient in that
+    column through the same updates the columns take, starting from 1 for
+    the identity.  A letter sigma_i sends the bounds (x, y) of columns c,
+    c1 to (2x + y, x), its inverse to (y, x + 2y); a syllable of k >= 3
+    letters adds k(x + y) to both, as S_e has k coefficients of size 1.
+    The last generator, a letter or a syllable, replaces or grows its
+    column from the sum of all the bounds.  Two bits of room make every
+    final coefficient a signed digit.
     """
-    if not d.coeffs:
-        return _ZERO
-    num = d + d.shift(e) if e % 2 else d - d.shift(e)
-    quot = list(accumulate(num.coeffs, lambda q, a: a - q))
-    return Laurent(num.low, tuple(quot[:-1]))
+    bound = [1] * m
+    for index, sign, power in syllables:
+        c = index - 1
+        if index < m:
+            x, y = bound[c], bound[c + 1]
+            if power >= 3:
+                grow = power * (x + y)
+                x, y = x + grow, y + grow
+            else:
+                for _ in range(power):
+                    x, y = (2 * x + y, x) if sign > 0 else (y, x + 2 * y)
+            bound[c], bound[c + 1] = x, y
+        elif power >= 3:
+            bound[c] += power * (sum(bound) + bound[c])
+        else:
+            for _ in range(power):
+                bound[c] = sum(bound)
+    return (max(bound, default=1).bit_length() + 2 + 7) // 8
+
+
+def _series_product(d: int, e: int, w: int) -> int:
+    """S_e * d at t = 2^w for S_e = (1 - (-t)^e) / (1 + t), any nonzero e.
+
+    ``d`` is a polynomial at t = 2^w.  For e = k > 0, S_k is built by
+    doubling, S_2n = S_n * (1 + (-t)^n) and S_(n+1) = 1 + (-t) * S_n, in
+    O(log k) shifts and adds.  For e = -k, S_e = -(-t)^-k * S_k, and the
+    shift by k digits is exact when the caller knows S_e * d to be a
+    polynomial.
+    """
+    if not d:
+        return 0
+    k = abs(e)
+    x, n = d, 1
+    for bit in bin(k)[3:]:
+        x = x - (x << n * w) if n % 2 else x + (x << n * w)
+        n *= 2
+        if bit == "1":
+            x = d - (x << w)
+            n += 1
+    if e > 0:
+        return x
+    x >>= k * w
+    return x if k % 2 else -x
 
 
 def burau_matrix(word: BraidWord) -> Matrix:
@@ -329,9 +374,16 @@ def burau_matrix(word: BraidWord) -> Matrix:
     last generator acts as the identity except for its final column
     (-1, ..., -1, -t)^T.  Determinants are (-t)^(exponent sum).
 
+    The walk runs on t^N * M, N the number of inverse letters in the
+    word, so every entry is a polynomial, held as one integer: its value
+    at t = 2^w.  Multiplying by t is a shift left by w bits and dividing
+    by t a shift right.  The shift is exact: while j inverse letters are
+    still to come, no entry has a power of t below j.
     Right-multiplying by a letter replaces one or two columns c, c1:
     sigma_i gives c' = c - t*c + c1 and c1' = t*c; its inverse gives
-    c' = t^-1*c1 and c1' = c + c1 - t^-1*c1.
+    c' = t^-1*c1 and c1' = c + c1 - t^-1*c1.  The last generator
+    replaces the last column by -(c_0 + ... + c_(m-2)) - t*c_(m-1), its
+    inverse by -t^-1 times the sum of all columns.
 
     A syllable sigma_i^e with |e| >= 3 is applied at once.  Every
     generator G satisfies (G - I)(G + t) = 0, so G^e = I + S_e (G - I)
@@ -339,54 +391,66 @@ def burau_matrix(word: BraidWord) -> Matrix:
     columns of M (G - I) are d and -d with d = c1 - t*c, so c += S_e*d
     and c1 -= S_e*d; for the last generator only the last column moves,
     by S_e times d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).
-    Shorter syllables take the per-letter update, which is cheaper there.
+
+    Evaluation at 2^w is a ring homomorphism, so the integers are exact
+    whatever their size; only reading the coefficients back needs them
+    to fit their w-bit digits.  ``_digit_bytes`` proves they do before
+    the walk starts, so each entry is unpacked once, with no check.
     """
     m = word.strands - 1
-    cols: list[list[Laurent]] = [
-        [_ONE if i == j else _ZERO for i in range(m)] for j in range(m)
+    syllables = [
+        (index, sign, sum(1 for _ in run)) for (index, sign), run in groupby(word.letters)
     ]
-    for (index, sign), run in groupby(word.letters):
-        power = sum(1 for _ in run)
+    nb = _digit_bytes(syllables, m)
+    w = 8 * nb
+    scale = sum([power for _, sign, power in syllables if sign < 0])
+    one = 1 << w * scale
+    cols = [[one if i == j else 0 for i in range(m)] for j in range(m)]
+    for index, sign, power in syllables:
         c = index - 1
-        if power >= 3:
-            e = sign * power
-            if index < m:
-                left, right = cols[c], cols[c + 1]
-                step = [_series_times(y - x.shift(1), e) for x, y in zip(left, right)]
-                cols[c] = list(map(add, left, step))
-                cols[c + 1] = list(map(sub, right, step))
+        if index < m:
+            left, right = cols[c], cols[c + 1]
+            if power >= 3:
+                e = sign * power
+                step = [_series_product(y - (x << w), e, w) for x, y in zip(left, right)]
+                left, right = list(map(add, left, step)), list(map(sub, right, step))
+            elif sign > 0:
+                for _ in range(power):
+                    up = [x << w for x in left]
+                    left, right = [x - u + y for x, u, y in zip(left, up, right)], up
             else:
-                last = cols[m - 1]
-                cols[m - 1] = [
-                    x + _series_times(
-                        -sum((cols[j][i] for j in range(m - 1)), x + x.shift(1)), e
-                    )
-                    for i, x in enumerate(last)
-                ]
-            continue
-        for _ in range(power):
-            if index < m:
-                left, right = cols[c], cols[c + 1]
+                for _ in range(power):
+                    down = [y >> w for y in right]
+                    left, right = down, [x + y - z for x, y, z in zip(left, right, down)]
+            cols[c], cols[c + 1] = left, right
+        elif power >= 3:
+            cols[c] = [
+                x + _series_product(-(s + (x << w)), sign * power, w)
+                for x, s in zip(cols[c], map(sum, zip(*cols)))
+            ]
+        else:
+            for _ in range(power):
+                totals = map(sum, zip(*cols))
                 if sign > 0:
-                    cols[c] = [x - x.shift(1) + y for x, y in zip(left, right)]
-                    cols[c + 1] = [x.shift(1) for x in left]
+                    cols[c] = [x - s - (x << w) for x, s in zip(cols[c], totals)]
                 else:
-                    cols[c] = [y.shift(-1) for y in right]
-                    cols[c + 1] = [x + y - y.shift(-1) for x, y in zip(left, right)]
-            else:
-                # index == strands - 1: only the last column moves
-                last = cols[m - 1]
-                if sign > 0:
-                    cols[m - 1] = [
-                        -sum((cols[j][i] for j in range(m - 1)), last[i].shift(1))
-                        for i in range(m)
-                    ]
-                else:
-                    cols[m - 1] = [
-                        -sum((cols[j][i] for j in range(m)), _ZERO).shift(-1)
-                        for i in range(m)
-                    ]
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+                    cols[c] = [-s >> w for s in totals]
+    entries = [[_unpacked(x, -scale, nb) for x in col] for col in cols]
+    return tuple(tuple(col[i] for col in entries) for i in range(m))
+
+
+def _unpacked(value: int, low: int, nb: int) -> Laurent:
+    """The polynomial whose value at t = 2^(8*nb) is ``value``, times t^low.
+
+    Zero low digits are dropped first, so only the digits from the lowest
+    nonzero one up are read.
+    """
+    if not value:
+        return _ZERO
+    w = 8 * nb
+    skip = ((value & -value).bit_length() - 1) // w
+    value >>= skip * w
+    return _trimmed(low + skip, _unpack(value, abs(value).bit_length() // w + 1, nb))
 
 
 def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:

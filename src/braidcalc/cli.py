@@ -201,7 +201,10 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_certify(args: argparse.Namespace) -> Result:
-    report = certify(FamilyParams(args.p, args.q, args.r))
+    try:
+        report = certify(FamilyParams(args.p, args.q, args.r))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     code = EXIT_OK if report.certified else EXIT_CHECK_FAILED
     return code, report_to_dict(report), report_lines(report)
 

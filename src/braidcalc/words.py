@@ -21,6 +21,11 @@ __all__ = [
     "sigma_power",
 ]
 
+# The most letters parse_word or sigma_power builds into one word.  It is
+# checked before the letters are allocated, so that a huge exponent is a
+# ValueError and not an OverflowError or MemoryError.
+MAX_LETTERS = 1_000_000
+
 
 @dataclass(frozen=True, order=True)
 class StrandPermutation:
@@ -157,6 +162,8 @@ class BraidWord:
 
 def sigma_power(strands: int, index: int, power: int) -> BraidWord:
     """sigma_index^power as a word on ``strands`` strands."""
+    if abs(power) > MAX_LETTERS:
+        raise ValueError(f"s{index}^{power} has more than {MAX_LETTERS} letters")
     sign = 1 if power >= 0 else -1
     return BraidWord(strands, ((index, sign),) * abs(power))
 
@@ -170,7 +177,8 @@ def parse_word(text: str, default_strands: int | None = None) -> BraidWord:
     Tokens are whitespace separated.  An optional leading ``n=INT`` pins
     the strand count; otherwise ``default_strands`` is used if given,
     else the count is inferred as ``max index + 1`` (1 for the empty
-    word).  A bare ``sI`` means ``sI^1``; ``^0`` is rejected.
+    word).  A bare ``sI`` means ``sI^1``; ``^0`` is rejected, and so is a
+    word of more than ``MAX_LETTERS`` letters.
 
     >>> parse_word("s1^3 s2^-1").letters
     ((1, 1), (1, 1), (1, 1), (2, -1))
@@ -194,6 +202,8 @@ def parse_word(text: str, default_strands: int | None = None) -> BraidWord:
         power = int(m.group(2)) if m.group(2) is not None else 1
         if power == 0:
             raise ValueError(f"zero power not allowed: {tok!r}")
+        if len(letters) + abs(power) > MAX_LETTERS:
+            raise ValueError(f"word too long at {tok!r}: more than {MAX_LETTERS} letters")
         sign = 1 if power > 0 else -1
         letters.extend(((index, sign),) * abs(power))
     if strands is None:

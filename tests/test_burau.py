@@ -18,11 +18,12 @@ from braidcalc.burau import (
     determinant,
     trace,
 )
-from braidcalc.words import BraidWord, parse_word
+from braidcalc.words import BraidWord, parse_word, sigma_power
 
 from conftest import braid_words, coeff, laurent, syllable_words
 
 T = Laurent.term(1, 1)
+T_INV = Laurent.term(1, -1)
 ONE = Laurent.one()
 
 
@@ -92,21 +93,77 @@ def test_generator_matrices_frozen():
     )
 
 
+def _letter_matrix(strands, index, sign):
+    """The reduced Burau matrix of sigma_index^sign, written out from the
+    convention in the ``burau_matrix`` docstring."""
+    size = strands - 1
+    rows = [list(row) for row in _identity(size)]
+    i = index - 1
+    if index < size:
+        if sign > 0:
+            block = ((ONE - T, T), (ONE, Laurent.zero()))
+        else:
+            block = ((Laurent.zero(), ONE), (T_INV, ONE - T_INV))
+        for r in range(2):
+            rows[i + r][i:i + 2] = block[r]
+    else:
+        column = [-ONE] * (size - 1) + [-T] if sign > 0 else [-T_INV] * size
+        for r in range(size):
+            rows[r][i] = column[r]
+    return tuple(tuple(row) for row in rows)
+
+
+def _burau_reference(word):
+    """The product of the written-out letter matrices; the slow route."""
+    product = _identity(word.strands - 1)
+    for index, sign in word.letters:
+        product = _mat_mul(product, _letter_matrix(word.strands, index, sign))
+    return product
+
+
 def test_inverses_multiply_to_identity():
-    for text in ("s1", "s2", "s1^-1", "s2^-1"):
-        w = parse_word(f"n=3 {text}")
-        a = burau_matrix(w)
-        b = burau_matrix(w.inverse())
-        assert _mat_mul(a, b) == _identity(2)
+    for n in range(2, 9):
+        for index in range(1, n):
+            for sign in (1, -1):
+                letter = _letter_matrix(n, index, sign)
+                assert _mat_mul(letter, _letter_matrix(n, index, -sign)) == _identity(n - 1)
+                assert burau_matrix(BraidWord(n, ((index, sign),))) == letter
 
 
 def test_burau_is_a_homomorphism_frozen():
     w = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
-    by_letters = _identity(2)
-    for index, sign in w.letters:
-        step = parse_word(f"n=3 s{index}^{sign}")
-        by_letters = _mat_mul(by_letters, burau_matrix(step))
-    assert burau_matrix(w) == by_letters
+    assert burau_matrix(w) == _burau_reference(w)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_burau_syllables_match_reference(n):
+    """Syllables of 1, 2, 3 and more letters of both signs, on the first,
+    a middle and the last generator, between letters of both signs on
+    every generator (n = 1 is a row of the next test)."""
+    prefix = parse_word(" ".join(f"s{i}^{(-1) ** i}" for i in range(1, n)) + " s1^2", n)
+    for index in sorted({1, n // 2, n - 1}):
+        for power in (1, 2, 3, 4, 7, -1, -2, -3, -4, -7):
+            w = prefix * sigma_power(n, index, power) * prefix.inverse()
+            assert burau_matrix(w) == _burau_reference(w), (index, power)
+
+
+@pytest.mark.parametrize(
+    "text, bits",
+    [
+        pytest.param("n=3 " + "s1 s2^-1 " * 60, 79, id="n3-letters"),
+        pytest.param("n=4 " + "s1^2 s2^-3 s3^4 " * 20, 84, id="n4-syllables"),
+        pytest.param("n=2 s1^-5 s1^3", 1, id="n2"),
+        pytest.param("n=1", 0, id="n1"),
+    ],
+)
+def test_burau_wide_coefficients_frozen(text, bits):
+    """Coefficients wider than 64 bits, and the strand counts where the
+    matrix is 1 x 1 or empty."""
+    w = parse_word(text)
+    m = burau_matrix(w)
+    assert m == _burau_reference(w)
+    widest = max([abs(c) for row in m for x in row for c in x.coeffs], default=0)
+    assert widest.bit_length() == bits
 
 
 def test_determinant_is_minus_t_to_exponent_sum():
@@ -144,10 +201,7 @@ def test_burau_respects_inverse(w):
 @given(syllable_words())
 def test_burau_matches_product_of_letter_matrices(w):
     """The syllable updates against the plain product of generator matrices."""
-    product = _identity(w.strands - 1)
-    for letter in w.letters:
-        product = _mat_mul(product, burau_matrix(BraidWord(w.strands, (letter,))))
-    assert burau_matrix(w) == product
+    assert burau_matrix(w) == _burau_reference(w)
 
 
 @given(braid_words(min_strands=3, max_strands=3, max_length=8))

@@ -287,6 +287,21 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
             "bad tower description: move 0 (destabilize): last generator must occur exactly once",
             id="tower-destabilize-not-applicable",
         ),
+        pytest.param(
+            ["components", "n=3 s1^99999999999999999999"], {},
+            "word too long at 's1^99999999999999999999': more than 1000000 letters",
+            id="word-huge-exponent",
+        ),
+        pytest.param(
+            ["components", "n=3 s1^10000000000"], {},
+            "word too long at 's1^10000000000': more than 1000000 letters",
+            id="word-exponent-past-memory",
+        ),
+        pytest.param(
+            ["certify", "--p", "99999999999999999999", "--q", "3", "--r", "2"], {},
+            "s1^199999999999999999999 has more than 1000000 letters",
+            id="certify-huge-p",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):

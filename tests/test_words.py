@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+import braidcalc.words as words
 from braidcalc.words import BraidWord, StrandPermutation, format_word, parse_word, sigma_power
 
 from conftest import braid_words
@@ -82,6 +83,18 @@ def test_rotations():
 def test_sigma_power():
     assert sigma_power(3, 2, -3) == parse_word("n=3 s2^-3")
     assert sigma_power(3, 1, 0) == BraidWord(3, ())
+
+
+def test_letter_cap(monkeypatch):
+    """The cap counts the letters of all tokens together and is checked
+    before they are built."""
+    monkeypatch.setattr(words, "MAX_LETTERS", 10)
+    assert len(parse_word("s1^5 s2^-5")) == 10
+    assert len(sigma_power(3, 1, -10)) == 10
+    with pytest.raises(ValueError, match="word too long at 's2': more than 10 letters"):
+        parse_word("s1^5 s2^-5 s2")
+    with pytest.raises(ValueError, match=r"s1\^-11 has more than 10 letters"):
+        sigma_power(3, 1, -11)
 
 
 def test_mul_strand_mismatch():
