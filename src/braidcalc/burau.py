@@ -13,13 +13,18 @@ every entry as one difference of packed products and one divmod.
 
 The reduced Burau matrix of a word on n strands is (n-1) x (n-1) and is
 built column by column, one syllable (a generator with its power, such
-as s1^5) at a time, on Kronecker-packed integers: each entry of t^N * M,
-N the number of inverse letters, is held as its value at t = 2^w.  A
-letter is then a few shifts and adds of one or two integer columns, and
-a longer syllable is applied at once in O(log power) of them.  The digit
-width w comes from a bound on every coefficient, carried per column
-through the word before the walk, so each entry is unpacked once at the
-end and no digit can have carried into the next.
+as s1^5) at a time, on Kronecker-packed integers: each entry is shifted
+to a polynomial and held as its value at t = 2^w.  A letter is then a
+few shifts and adds of one or two integer columns, and a longer syllable
+is applied at once in O(log power) of them.  The word is walked in
+segments.  Each segment packs the entries once and unpacks them once at
+its end, at a digit width w proven by a bound on every coefficient that
+starts from the true coefficients and is carried per column through the
+segment's syllables, so no digit can have carried into the next.  A
+segment ends before its bound grows _ROOM_BITS past where it began, or
+after _SEGMENT_SYLLABLES syllables, so words whose true coefficients
+stay small, such as periodic ones, keep narrow digits and short entries
+however long they are.
 """
 
 from __future__ import annotations
@@ -309,36 +314,63 @@ def trace(m: Matrix) -> Laurent:
     return sum((m[i][i] for i in range(len(m))), Laurent.zero())
 
 
-def _digit_bytes(syllables: list[tuple[int, int, int]], m: int) -> int:
-    """Bytes per packed digit of ``burau_matrix``, proven wide enough.
+# A segment of the Burau walk ends before the syllable that would take
+# its coefficient bound more than _ROOM_BITS past the bound after its
+# first syllable, or once it holds _SEGMENT_SYLLABLES syllables.  The
+# second limit is for words whose bound grows slowly, as on two strands:
+# a segment's entries carry one zero digit per inverse letter in it, and
+# a segment as long as the word would make every letter pay for them all.
+_ROOM_BITS = 64
+_SEGMENT_SYLLABLES = 128
 
-    Carries one bound per column on the size of every coefficient in that
-    column through the same updates the columns take, starting from 1 for
-    the identity.  A letter sigma_i sends the bounds (x, y) of columns c,
-    c1 to (2x + y, x), its inverse to (y, x + 2y); a syllable of k >= 3
-    letters adds k(x + y) to both, as S_e has k coefficients of size 1.
-    The last generator, a letter or a syllable, replaces or grows its
-    column from the sum of all the bounds.  Two bits of room make every
-    final coefficient a signed digit.
+
+def _grow(bound: list[int], index: int, sign: int, power: int) -> None:
+    """Carry the column bounds of the Burau walk through one syllable.
+
+    ``bound[j]`` bounds the size of every coefficient in column j.  A
+    letter sigma_i sends the bounds (x, y) of columns c, c1 to (2x + y, x),
+    its inverse to (y, x + 2y); a syllable of k >= 3 letters adds k(x + y)
+    to both, as S_e has k coefficients of size 1.  The last generator, a
+    letter or a syllable, replaces or grows its column from the sum of all
+    the bounds.
     """
-    bound = [1] * m
-    for index, sign, power in syllables:
-        c = index - 1
-        if index < m:
-            x, y = bound[c], bound[c + 1]
-            if power >= 3:
-                grow = power * (x + y)
-                x, y = x + grow, y + grow
-            else:
-                for _ in range(power):
-                    x, y = (2 * x + y, x) if sign > 0 else (y, x + 2 * y)
-            bound[c], bound[c + 1] = x, y
-        elif power >= 3:
-            bound[c] += power * (sum(bound) + bound[c])
+    c = index - 1
+    if index < len(bound):
+        x, y = bound[c], bound[c + 1]
+        if power >= 3:
+            grow = power * (x + y)
+            x, y = x + grow, y + grow
         else:
             for _ in range(power):
-                bound[c] = sum(bound)
-    return (max(bound, default=1).bit_length() + 2 + 7) // 8
+                x, y = (2 * x + y, x) if sign > 0 else (y, x + 2 * y)
+        bound[c], bound[c + 1] = x, y
+    elif power >= 3:
+        bound[c] += power * (sum(bound) + bound[c])
+    else:
+        for _ in range(power):
+            bound[c] = sum(bound)
+
+
+def _segment(
+    syllables: list[tuple[int, int, int]], start: int, bound: list[int]
+) -> tuple[int, int]:
+    """The end of the walk segment from ``start`` and its digit bytes.
+
+    ``bound`` holds the column bounds at ``start``.  The segment takes at
+    least one syllable.  Two bits of room over its final bound make every
+    coefficient it produces a signed digit.
+    """
+    _grow(bound, *syllables[start])
+    limit = max(bound).bit_length() + _ROOM_BITS
+    end = start + 1
+    while end < len(syllables) and end - start < _SEGMENT_SYLLABLES:
+        trial = bound[:]
+        _grow(trial, *syllables[end])
+        if max(trial).bit_length() > limit:
+            break
+        bound = trial
+        end += 1
+    return end, (max(bound).bit_length() + 2 + 7) // 8
 
 
 def _series_product(d: int, e: int, w: int) -> int:
@@ -374,9 +406,39 @@ def burau_matrix(word: BraidWord) -> Matrix:
     last generator acts as the identity except for its final column
     (-1, ..., -1, -t)^T.  Determinants are (-t)^(exponent sum).
 
-    The walk runs on t^N * M, N the number of inverse letters in the
-    word, so every entry is a polynomial, held as one integer: its value
-    at t = 2^w.  Multiplying by t is a shift left by w bits and dividing
+    The word is walked in segments of syllables.  At the start of each,
+    the bound of every column is its largest true coefficient; ``_grow``
+    carries these bounds through the segment's syllables, and the digit
+    width comes from the largest bound at its end (``_segment``).  The
+    segment is then applied by ``_walk`` and its result unpacked.
+    Evaluation at 2^w is a ring homomorphism, so the packed integers are
+    exact whatever their size; only reading the coefficients back needs
+    them to fit their w-bit digits, which the bound proves, so nothing is
+    checked or tried again.
+    """
+    m = word.strands - 1
+    syllables = [
+        (index, sign, sum(1 for _ in run)) for (index, sign), run in groupby(word.letters)
+    ]
+    cols = [[_ONE if i == j else _ZERO for i in range(m)] for j in range(m)]
+    start = 0
+    while start < len(syllables):
+        bound = [max([max(map(abs, x.coeffs)) for x in col if x.coeffs]) for col in cols]
+        end, nb = _segment(syllables, start, bound)
+        cols = _walk(cols, syllables[start:end], nb)
+        start = end
+    return tuple(tuple(col[i] for col in cols) for i in range(m))
+
+
+def _walk(
+    cols: list[list[Laurent]], syllables: list[tuple[int, int, int]], nb: int
+) -> list[list[Laurent]]:
+    """The columns ``cols`` right-multiplied by ``syllables``, on digits of nb bytes.
+
+    Every entry is multiplied by t^(N - low), N the number of inverse
+    letters in the syllables and low the lowest power in ``cols``, so it
+    is a polynomial, packed once as one integer: its value at t = 2^w,
+    w = 8*nb.  Multiplying by t is a shift left by w bits and dividing
     by t a shift right.  The shift is exact: while j inverse letters are
     still to come, no entry has a power of t below j.
     Right-multiplying by a letter replaces one or two columns c, c1:
@@ -391,21 +453,16 @@ def burau_matrix(word: BraidWord) -> Matrix:
     columns of M (G - I) are d and -d with d = c1 - t*c, so c += S_e*d
     and c1 -= S_e*d; for the last generator only the last column moves,
     by S_e times d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).
-
-    Evaluation at 2^w is a ring homomorphism, so the integers are exact
-    whatever their size; only reading the coefficients back needs them
-    to fit their w-bit digits.  ``_digit_bytes`` proves they do before
-    the walk starts, so each entry is unpacked once, with no check.
+    Each entry is unpacked once at the end and shifted back.
     """
-    m = word.strands - 1
-    syllables = [
-        (index, sign, sum(1 for _ in run)) for (index, sign), run in groupby(word.letters)
-    ]
-    nb = _digit_bytes(syllables, m)
+    m = len(cols)
     w = 8 * nb
     scale = sum([power for _, sign, power in syllables if sign < 0])
-    one = 1 << w * scale
-    cols = [[one if i == j else 0 for i in range(m)] for j in range(m)]
+    low = min([x.low for col in cols for x in col if x.coeffs])
+    cols = [
+        [_pack(x.coeffs, nb) << w * (x.low - low + scale) if x.coeffs else 0 for x in col]
+        for col in cols
+    ]
     for index, sign, power in syllables:
         c = index - 1
         if index < m:
@@ -430,13 +487,11 @@ def burau_matrix(word: BraidWord) -> Matrix:
             ]
         else:
             for _ in range(power):
-                totals = map(sum, zip(*cols))
                 if sign > 0:
-                    cols[c] = [x - s - (x << w) for x, s in zip(cols[c], totals)]
+                    cols[c] = [-sum(rest) - (x << w) for x, *rest in zip(cols[c], *cols[:c])]
                 else:
-                    cols[c] = [-s >> w for s in totals]
-    entries = [[_unpacked(x, -scale, nb) for x in col] for col in cols]
-    return tuple(tuple(col[i] for col in entries) for i in range(m))
+                    cols[c] = [-s >> w for s in map(sum, zip(*cols))]
+    return [[_unpacked(x, low - scale, nb) for x in col] for col in cols]
 
 
 def _unpacked(value: int, low: int, nb: int) -> Laurent:

@@ -166,6 +166,60 @@ def test_burau_wide_coefficients_frozen(text, bits):
     assert widest.bit_length() == bits
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_full_twist_powers_are_scalar(n):
+    """(s1 ... s_(n-1))^n is the full twist, central, with image t^n * I;
+    its powers are periodic words whose coefficients stay 0 or 1."""
+    twist = BraidWord(n, tuple((i, 1) for i in range(1, n)) * n)
+    assert burau_matrix(twist) == _burau_reference(twist)
+    size = n - 1
+    for k in (1, 7, 400):
+        forward = BraidWord(n, twist.letters * k)
+        for word, power in ((forward, n * k), (forward.inverse(), -n * k)):
+            scalar = Laurent.term(1, power)
+            assert burau_matrix(word) == tuple(
+                tuple(scalar if i == j else Laurent.zero() for j in range(size))
+                for i in range(size)
+            )
+    # one letter past the twists is t^(n*k) times the letter
+    w = BraidWord(n, twist.letters * 400 + ((1, 1),))
+    shifted = tuple(tuple(x.shift(400 * n) for x in row) for row in _letter_matrix(n, 1, 1))
+    assert burau_matrix(w) == shifted
+
+
+def test_periodic_words_keep_narrow_digits(monkeypatch):
+    """The digit width of a periodic word follows its true coefficients,
+    not a bound carried through the whole word."""
+    widths = []
+    walk = burau._walk
+
+    def recording_walk(cols, syllables, nb):
+        widths.append(nb)
+        return walk(cols, syllables, nb)
+
+    monkeypatch.setattr(burau, "_walk", recording_walk)
+    for text in (
+        "n=3 " + "s1 s2 " * 3000,
+        "n=3 " + "s1^-1 s2^-1 " * 3000,
+        "n=3 " + "s1 s2^2 " * 2000,
+        "n=5 " + "s4^-1 s3^-1 s2^-1 s1^-1 " * 1500,
+    ):
+        widths.clear()
+        burau_matrix(parse_word(text))
+        assert len(widths) > 1 and max(widths) <= 10, text[:30]
+
+
+@settings(deadline=None)
+@given(syllable_words())
+def test_short_segments_match_reference(w):
+    """Segments of one or two syllables with one bit of room: every
+    repack between segments against the plain product."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burau, "_ROOM_BITS", 1)
+        patch.setattr(burau, "_SEGMENT_SYLLABLES", 2)
+        assert burau_matrix(w) == _burau_reference(w)
+
+
 def test_determinant_is_minus_t_to_exponent_sum():
     for text in ("n=3 s1 s2", "n=3 s1^3 s2^4 s1^-5 s2^-1", "n=4 s1 s3^-2 s2"):
         w = parse_word(text)
