@@ -3,28 +3,29 @@
 Everything here is integer arithmetic in Z[t, t^-1]; coefficients are
 Python ints, so nothing overflows.  A polynomial is a lowest power plus
 the dense run of coefficients from there up, so sums and shifts are
-list operations.  Products and exact quotients of short polynomials are
-schoolbook loops; long ones are Kronecker-packed, each one big-integer
-multiplication or divmod.  A packed quotient is accepted when its digits
-are too narrow to have carried into each other, which proves it exact
-without multiplying back.  The Bareiss determinant packs each operand
-once per elimination step, at one digit width for the step, and computes
-every entry as one difference of packed products and one divmod.
+list operations, and a product or an exact quotient of two of them is a
+schoolbook loop.  Kronecker packing, which holds a polynomial as one big
+integer, its value at a power of two, is used in two places only.  The
+Bareiss determinant packs each operand once per elimination step, at one
+digit width for the step, and computes every entry as one difference of
+packed products and one divmod; a packed quotient is accepted when its
+digits are too narrow to have carried into each other, which proves it
+exact without multiplying back.
 
-The reduced Burau matrix of a word on n strands is (n-1) x (n-1) and is
-built column by column, one syllable (a generator with its power, such
-as s1^5) at a time, on Kronecker-packed integers: each entry is shifted
-to a polynomial and held as its value at t = 2^w.  A letter is then a
-few shifts and adds of one or two integer columns, and a longer syllable
-is applied at once in O(log power) of them.  The word is walked in
-segments.  Each segment packs the entries once and unpacks them once at
-its end, at a digit width w proven by a bound on every coefficient that
-starts from the true coefficients and is carried per column through the
-segment's syllables, so no digit can have carried into the next.  A
-segment ends before its bound grows _ROOM_BITS past where it began, or
-after _SEGMENT_SYLLABLES syllables, so words whose true coefficients
-stay small, such as periodic ones, keep narrow digits and short entries
-however long they are.
+The other is the Burau walk.  The reduced Burau matrix of a word on n
+strands is (n-1) x (n-1) and is built column by column, one syllable (a
+generator with its power, such as s1^5) at a time, on Kronecker-packed
+integers: each entry is shifted to a polynomial and held as its value at
+t = 2^w.  A letter is then a few shifts and adds of one or two integer
+columns, and a longer syllable is applied at once in O(log power) of
+them.  The word is walked in segments.  Each segment packs the entries
+once and unpacks them once at its end, at a digit width w proven by a
+bound on every coefficient that starts from the true coefficients and is
+carried per column through the segment's syllables, so no digit can have
+carried into the next.  A segment ends before its bound grows _ROOM_BITS
+past where it began, or after _SEGMENT_SYLLABLES syllables, so words
+whose true coefficients stay small, such as periodic ones, keep narrow
+digits and short entries however long they are.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ class Laurent:
 
     The first and last coefficients are nonzero and zero is ``(0, ())``,
     so equality and hashing are structural.  Products and exact quotients
-    whose operands have at least ``_PACKED_MIN`` coefficients each are
-    Kronecker-packed into single integers; shorter ones are schoolbook.
+    are schoolbook loops over the coefficients.
     """
 
     low: int = 0
@@ -124,10 +124,11 @@ class Laurent:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
-        if len(a) >= _PACKED_MIN and len(b) >= _PACKED_MIN:
-            out = _mul_packed(a, b)
-        else:
-            out = _mul_schoolbook(a, b)
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + width] = map(add, out[i:i + width], [c * d for d in b])
         # Z is an integral domain: the end coefficients of a product are nonzero
         return Laurent(self.low + other.low, tuple(out))
 
@@ -136,16 +137,26 @@ class Laurent:
         return Laurent(self.low + k, self.coeffs) if self.coeffs else _ZERO
 
     def divexact(self, divisor: Laurent) -> Laurent:
-        """Exact quotient; raises ValueError if division leaves a remainder."""
+        """Exact quotient by long division from the top; raises ValueError
+        if division leaves a remainder."""
         num, div = self.coeffs, divisor.coeffs
         if not div:
             raise ZeroDivisionError("division by zero polynomial")
         if not num:
             return _ZERO
-        if len(div) >= _PACKED_MIN and len(num) - len(div) + 1 >= _PACKED_MIN:
-            quot = _divexact_packed(num, div)
-        else:
-            quot = _divexact_schoolbook(num, div)
+        rem = list(num)
+        width = len(div)
+        lead = div[-1]
+        quot = [0] * (len(rem) - width + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            q, r = divmod(rem[k + width - 1], lead)
+            if r != 0:
+                raise ValueError("inexact polynomial division")
+            if q:
+                quot[k] = q
+                rem[k:k + width] = map(sub, rem[k:k + width], [q * d for d in div])
+        if not quot or any(rem[:width - 1]):
+            raise ValueError("inexact polynomial division")
         # an exact quotient of polynomials with nonzero ends has nonzero ends
         return Laurent(self.low - divisor.low, tuple(quot))
 
@@ -191,39 +202,6 @@ def _trimmed(low: int, dense: list[int]) -> Laurent:
     return Laurent(low + start, tuple(dense[start:end]))
 
 
-# Products and exact quotients whose operands both have at least this
-# many coefficients are Kronecker-packed; below it the schoolbook loops
-# are faster (measured on the 4-8 strand Alexander path).
-_PACKED_MIN = 8
-
-
-def _mul_schoolbook(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    width = len(b)
-    out = [0] * (len(a) + width - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + width] = map(add, out[i:i + width], [c * d for d in b])
-    return out
-
-
-def _divexact_schoolbook(num: tuple[int, ...], div: tuple[int, ...]) -> list[int]:
-    """Long division from the top; raises ValueError on any remainder."""
-    rem = list(num)
-    width = len(div)
-    lead = div[-1]
-    quot = [0] * (len(rem) - width + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        q, r = divmod(rem[k + width - 1], lead)
-        if r != 0:
-            raise ValueError("inexact polynomial division")
-        if q:
-            quot[k] = q
-            rem[k:k + width] = map(sub, rem[k:k + width], [q * d for d in div])
-    if not quot or any(rem[:width - 1]):
-        raise ValueError("inexact polynomial division")
-    return quot
-
-
 # Kronecker substitution: a coefficient list c_0..c_(n-1) is packed into
 # the integer sum(c_i * 2^(8*nb*i)), one signed digit of nb bytes per
 # coefficient, so that a product or an exact quotient of polynomials is
@@ -248,20 +226,6 @@ def _unpack(value: int, n: int, nb: int) -> list[int]:
     half = 1 << (8 * nb - 1)
     data = (value + _offsets(n, nb)).to_bytes(n * nb, "little")
     return [int.from_bytes(data[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
-
-
-def _mul_packed(a: tuple[int, ...] | list[int], b: tuple[int, ...]) -> list[int]:
-    # every product coefficient is a sum of min(len a, len b) terms, each
-    # below 2^(bits(max|a|) + bits(max|b|)), so it fits a signed digit of
-    # k bits and the product needs no check
-    k = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 2
-    )
-    nb = (k + 7) // 8
-    return _unpack(_pack(a, nb) * _pack(b, nb), len(a) + len(b) - 1, nb)
 
 
 def _packed_quotient(
@@ -289,25 +253,6 @@ def _packed_quotient(
     if top + div_bits + min(size, div_len).bit_length() + 2 > 8 * nb:
         return None
     return digits
-
-
-def _divexact_packed(num: tuple[int, ...], div: tuple[int, ...]) -> list[int]:
-    """Exact quotient by one divmod of the packed integers.
-
-    The digit width fits the coefficients of the numerator and of the
-    divisor, with room for a quotient as wide as the numerator to pass
-    the width test of ``_packed_quotient``.  A quotient refused there is
-    left to the schoolbook division, which returns it or raises ValueError.
-    """
-    size = len(num) - len(div) + 1
-    if size > 0:
-        div_bits = max(map(abs, div)).bit_length()
-        top = max(max(map(abs, num)).bit_length(), div_bits)
-        nb = (top + div_bits + min(size, len(div)).bit_length() + 2 + 7) // 8
-        quot = _packed_quotient(_pack(num, nb), _pack(div, nb), size, nb, div_bits, len(div))
-        if quot is not None:
-            return quot
-    return _divexact_schoolbook(num, div)
 
 
 def trace(m: Matrix) -> Laurent:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from .links import ComponentInvariants, components
-from .words import BraidWord, parse_word
+from .words import MAX_STRANDS, BraidWord, parse_word
 
 PORT_FIXED = "fixed"
 PORT_ROTATED = "rotated"
@@ -194,12 +194,21 @@ def instantiate(sk: BlockSkeleton, a: BraidingAssignment) -> BraidWord:
     return BraidWord(sk.strands, tuple(letters))
 
 
+def _check_weight(kind: str, weight: int) -> None:
+    """A weight-w template has w + 2 strands, checked before any is built."""
+    if weight < 1:
+        raise WeightConstraintViolation(f"{kind} weight must be >= 1")
+    if weight + 2 > MAX_STRANDS:
+        raise WeightConstraintViolation(
+            f"{kind} weight {weight} needs more than {MAX_STRANDS} strands"
+        )
+
+
 def destabilize_template(sign: int, weight: int = 1) -> Template:
     """Remove a strand that crosses a weight-w cable exactly once."""
     if sign not in (1, -1):
         raise TemplateError(f"destabilization sign must be +-1, got {sign}")
-    if weight < 1:
-        raise WeightConstraintViolation("destabilization weight must be >= 1")
+    _check_weight("destabilization", weight)
     k = weight + 1
     plus = BlockSkeleton(k + 1, (BlockSlot("P", 1, k), Crossing(k, sign)))
     minus = BlockSkeleton(k, (BlockSlot("P", 1, k),))
@@ -208,8 +217,7 @@ def destabilize_template(sign: int, weight: int = 1) -> Template:
 
 def exchange_template(weight: int = 1) -> Template:
     """Carry a unit strand across a weight-w cable and back."""
-    if weight < 1:
-        raise WeightConstraintViolation("exchange weight must be >= 1")
+    _check_weight("exchange", weight)
     w = weight
 
     def side(direction: int) -> BlockSkeleton:

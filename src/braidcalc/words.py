@@ -26,6 +26,12 @@ __all__ = [
 # ValueError and not an OverflowError or MemoryError.
 MAX_LETTERS = 1_000_000
 
+# The most strands a word or a template may have, checked before anything
+# of that size is allocated.  The linking matrix and the `components`
+# output grow with its square: at 500 strands one letter's JSON report
+# peaks at about 150 MB, at 1 000 at about 530 MB.
+MAX_STRANDS = 500
+
 
 @dataclass(frozen=True, order=True)
 class StrandPermutation:
@@ -78,8 +84,8 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise ValueError(f"strands must be >= 1, got {self.strands}")
+        if not 1 <= self.strands <= MAX_STRANDS:
+            raise ValueError(f"strands must be in 1..{MAX_STRANDS}, got {self.strands}")
         for index, sign in self.letters:
             if not 1 <= index <= self.strands - 1:
                 raise ValueError(

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 import braidcalc.burau as burau
 from braidcalc.burau import (
-    _PACKED_MIN,
     Laurent,
-    _divexact_packed,
-    _divexact_schoolbook,
-    _mul_packed,
-    _mul_schoolbook,
     _pack,
     _packed_quotient,
     burau_matrix,
@@ -67,6 +62,9 @@ def test_divexact():
         laurent({2: 1, 0: 1}).divexact(den)  # remainder 2
     shifted = num.shift(-2)
     assert shifted.divexact(den) == laurent({0: 1, -1: -1, -2: 1})
+    for num, div in (((1,), (1, 1)), ((1, 0, 1), (1, 1)), ((1,) * 20, (1,) * 16)):
+        with pytest.raises(ValueError):
+            Laurent(0, num).divexact(Laurent(0, div))
 
 
 def test_unit_normalized():
@@ -356,80 +354,53 @@ def dense_coeffs(draw):
     return tuple(coeffs)
 
 
-def _quotient(divide, num, div):
-    try:
-        return divide(num, div)
-    except ValueError:
-        return "inexact"
-
-
 @settings(deadline=None)
 @given(dense_coeffs(), dense_coeffs())
 @example((7,) * 40, (7,) * 40)
 @example((2**80 - 1,) * 40, (2**80 - 1,) * 33)
-def test_packed_matches_schoolbook(a, b):
-    """Kronecker-packed products and quotients against the schoolbook loops,
-    called directly so that sizes below the packing threshold count too."""
+def test_mul_and_divexact_on_dense_coeffs(a, b):
+    """Long products with wide coefficients against the dict reference,
+    and the exact quotient by either factor."""
     p, q = Laurent(0, a), Laurent(-3, b)
-    assert (p * q).is_zero() == (not a or not b)
+    product = p * q
+    _assert_matches(product, _ref_mul(dict(enumerate(a)), dict(enumerate(b, -3))))
     if not a or not b:
         return
-    product = _mul_schoolbook(a, b)
-    assert _mul_packed(a, b) == product
-    assert (p * q).coeffs == tuple(product)
-    for factor, other in ((a, b), (b, a)):
-        assert _divexact_packed(tuple(product), factor) == list(other)
-        assert _divexact_schoolbook(tuple(product), factor) == list(other)
-    assert (p * q).divexact(q) == p
-    # mostly inexact: both routes agree on the quotient or both refuse
-    assert _quotient(_divexact_packed, a, b) == _quotient(_divexact_schoolbook, a, b)
-
-
-@pytest.mark.parametrize("num, div", [((1,), (1, 1)), ((1, 0, 1), (1, 1)), ((1,) * 20, (1,) * 16)])
-def test_packed_division_refuses_inexact(num, div):
-    for divide in (_divexact_packed, _divexact_schoolbook):
-        with pytest.raises(ValueError):
-            divide(num, div)
+    assert product.divexact(q) == p
+    assert product.divexact(p) == q
+    # mostly inexact: a quotient that is returned multiplies back
+    try:
+        quot = p.divexact(q)
+    except ValueError:
+        return
+    assert quot * q == p
 
 
 @pytest.mark.parametrize("height", [1, 2, 127, 128, 300])
 def test_packed_quotient_wider_than_numerator(height):
     """(1 - t^s) times the tent 1, 2, ..., m, ..., 2, 1 has coefficients of
     at most s in size, yet the quotient reaches m: its packed digits
-    overflow the numerator's width and the width test sends the division
-    to the schoolbook route.  Divided by the tent instead, the
-    divisor is the wide one."""
-    tent = tuple(range(1, height)) + tuple(range(height, 0, -1))
-    ramps = tuple(_mul_schoolbook((1, -1), tent))
-    # the shared quotient test itself, at the one-byte width that fits the
-    # numerator and the divisor: it refuses every tent above height 2, so
-    # also the carried digits the divmod leaves from height 128 on
-    quot = _packed_quotient(_pack(ramps, 1), _pack((1, -1), 1), len(tent), 1, 1, 2)
-    assert quot == (list(tent) if height <= 2 else None)
-    assert _divexact_packed(ramps, (1, -1)) == list(tent)
-    assert _divexact_packed(ramps, tent) == [1, -1]
-    # the same through Laurent, with operands long enough to be packed
-    step = Laurent(0, (1,) + (0,) * (_PACKED_MIN - 1) + (-1,))
-    num = step * Laurent(0, tent)
-    assert max(map(abs, num.coeffs)) <= _PACKED_MIN
-    assert num.divexact(step) == Laurent(0, tent)
-    assert num.divexact(Laurent(0, tent)) == step
-
-
-def _school_mul(p, q):
-    if p.is_zero() or q.is_zero():
-        return Laurent.zero()
-    return Laurent(p.low + q.low, tuple(_mul_schoolbook(p.coeffs, q.coeffs)))
-
-
-def _school_div(p, q):
-    if p.is_zero():
-        return p
-    return Laurent(p.low - q.low, tuple(_divexact_schoolbook(p.coeffs, q.coeffs)))
+    overflow the numerator's width, and the width test refuses them.
+    Divided by the tent instead, the divisor is the wide one."""
+    tent = Laurent(0, tuple(range(1, height)) + tuple(range(height, 0, -1)))
+    ramps = Laurent(0, (1, -1)) * tent
+    # the quotient test at the one-byte width that fits the numerator and
+    # the divisor: it refuses every tent above height 2, so also the
+    # carried digits the divmod leaves from height 128 on
+    quot = _packed_quotient(_pack(ramps.coeffs, 1), _pack((1, -1), 1), len(tent.coeffs), 1, 1, 2)
+    assert quot == (list(tent.coeffs) if height <= 2 else None)
+    assert ramps.divexact(Laurent(0, (1, -1))) == tent
+    assert ramps.divexact(tent) == Laurent(0, (1, -1))
+    # the same with a longer step 1 - t^8
+    step = Laurent(0, (1,) + (0,) * 7 + (-1,))
+    num = step * tent
+    assert max(map(abs, num.coeffs)) <= 8
+    assert num.divexact(step) == tent
+    assert num.divexact(tent) == step
 
 
 def _bareiss_reference(m):
-    """Bareiss with only the schoolbook product and quotient; the slow route."""
+    """Bareiss on Laurent arithmetic, with no packing; the slow route."""
     size = len(m)
     if size == 0:
         return ONE
@@ -444,8 +415,7 @@ def _bareiss_reference(m):
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                num = _school_mul(a[k][k], a[i][j]) - _school_mul(a[i][k], a[k][j])
-                a[i][j] = _school_div(num, prev)
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).divexact(prev)
         prev = a[k][k]
     return a[-1][-1] if sign == 1 else -a[-1][-1]
 

@@ -1,6 +1,14 @@
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.cli import main
 from braidcalc.moves import ConjugateBy, Stabilize, tower_from_moves, tower_to_json
@@ -302,6 +310,26 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
             "s1^199999999999999999999 has more than 1000000 letters",
             id="certify-huge-p",
         ),
+        pytest.param(
+            ["components", "n=1000000000 s1"], {},
+            "strands must be in 1..500, got 1000000000", id="word-huge-strand-count",
+        ),
+        pytest.param(
+            ["components", "--n", "100000000", "s1"], {},
+            "strands must be in 1..500, got 100000000", id="override-huge-strand-count",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{"kind": "exchange", "params": {"weight": 1000000000}, '
+                       '"assignment": {"P": "n=1000000001", "Q": "s1"}}'},
+            "strands must be in 1..500, got 1000000001", id="desc-huge-block-word",
+        ),
+        pytest.param(
+            ["flype", "--desc", "{tmp}/d.json"],
+            {"d.json": '{"kind": "exchange", "params": {"weight": 1000000000}, '
+                       '"assignment": {"P": "s1", "Q": "s1"}}'},
+            "exchange weight 1000000000 needs more than 500 strands", id="desc-huge-weight",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):
@@ -382,3 +410,117 @@ def test_usage_errors(capsys, monkeypatch):
         env={"BRAIDCALC_FORMAT": "yaml"}, monkeypatch=monkeypatch,
     )
     assert code == 2 and "BRAIDCALC_FORMAT" in err
+
+
+# CLI fuzzing: well-formed and malformed pieces, all small, so every run
+# is quick.  Sweep bounds stay small because a sweep's time grows faster
+# than their cube.
+_GOOD_TOKENS = st.builds(
+    "s{}^{}".format, st.integers(min_value=1, max_value=2), st.sampled_from([-3, -2, -1, 2, 3, 5])
+) | st.builds("s{}".format, st.integers(min_value=1, max_value=2))
+_TOKENS = _GOOD_TOKENS | st.sampled_from(
+    [
+        "s3", "s4^-2", "s0", "s1^0", "n=3", "n=4", "n=1", "n=0", "n=-2", "n=x", "n=1000000000",
+        "s1^", "x1", "s1^1.5", "s99999999999999999999", "s1^99999999999999999999",
+    ]
+)
+_WORDS = (st.lists(_GOOD_TOKENS, max_size=6) | st.lists(_TOKENS, max_size=6)).map(" ".join)
+_INTS = st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 10**9, 10**20])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats(allow_nan=False) | st.text(max_size=4) | _WORDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fields(**fields):
+    """A JSON object with all of ``fields``, or with any subset of them,
+    each sometimes junk."""
+    junk = {k: v | _JSON_VALUES for k, v in fields.items()}
+    return st.fixed_dictionaries(fields) | st.fixed_dictionaries({}, optional=junk)
+
+
+_MOVES = _fields(
+    kind=st.sampled_from(["stabilize", "destabilize", "conjugate", "exchange", "flip"]),
+    sign=st.sampled_from([1, -1]),
+    conjugator=_WORDS,
+    split=st.lists(st.integers(min_value=-1, max_value=8), max_size=3),
+)
+_DOCUMENTS = st.one_of(
+    _fields(
+        initial_word=_WORDS,
+        mode=st.sampled_from(["transversal", "topological", "smooth"]),
+        moves=st.lists(_MOVES, max_size=4),
+    ).map(json.dumps),
+    _fields(
+        kind=st.sampled_from(["flype", "exchange", "destabilize", "twist"]),
+        params=st.fixed_dictionaries(
+            {}, optional={"sign": st.sampled_from([1, -1, 2]), "weight": _INTS, "w": _INTS}
+        ),
+        assignment=st.fixed_dictionaries({}, optional={"P": _WORDS, "Q": _WORDS, "R": _WORDS}),
+    ).map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    st.text(max_size=20),
+)
+_SMALL = st.integers(min_value=1, max_value=3).map(str)
+_FLAG_VALUES = {
+    "--n": _INTS.map(str),
+    "--p": _INTS.map(str), "--q": _INTS.map(str), "--r": _INTS.map(str),
+    "--max": _SMALL, "--p-max": _SMALL, "--q-max": _SMALL, "--r-max": _SMALL,
+    "--sign": st.sampled_from(["1", "-1", "1", "-1", "2"]),
+    "--P": _WORDS, "--Q": _WORDS, "--R": _WORDS,
+    "--format": st.sampled_from(["text", "json", "text", "json", "yaml"]),
+    "--desc": st.just("{doc}"), "--json": st.none(), "--bogus": st.none(),
+}
+# verb: (positional words, its own flags)
+_VERBS = {
+    "invariants": (1, ["--n", "--format"]),
+    "components": (1, ["--n", "--format"]),
+    "conjugate": (2, ["--n", "--format"]),
+    "classify": (1, ["--n", "--format"]),
+    "flype": (0, ["--sign", "--P", "--R", "--Q", "--format"]),
+    "tower-validate": (0, ["--format"]),
+    "certify": (0, ["--p", "--q", "--r", "--json", "--format"]),
+    "sweep": (0, ["--max", "--p-max", "--q-max", "--r-max", "--json", "--format"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argv whose verb gets its own flags, each nine times in ten, and
+    one time in ten a wrong count of words or a foreign flag; ``{doc}``
+    stands for the path of a file holding a drawn document."""
+    verb = draw(st.sampled_from(sorted(_VERBS) + ["help"]))
+    count, own = _VERBS.get(verb, (0, []))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        count = draw(st.integers(min_value=0, max_value=3))
+    argv = [verb] + draw(st.lists(_WORDS, min_size=count, max_size=count))
+    if draw(st.booleans()):  # else tower-validate reads the document from stdin
+        argv += {"flype": ["--desc", "{doc}"], "tower-validate": ["{doc}"]}.get(verb, [])
+    flags = [f for f in own if draw(st.integers(min_value=0, max_value=9))]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    for flag in flags:
+        value = draw(_FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(_argv(), _DOCUMENTS)
+def test_cli_fuzz(argv, document):
+    """Any such argv exits 0, 1 or 2 with no exception, and a usage error
+    is exactly one error: line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.json"
+        doc.write_text(document)
+        argv = [arg.replace("{doc}", str(doc)) for arg in argv]
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+            sys, "stdin", io.StringIO(document)
+        ):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv

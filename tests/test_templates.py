@@ -23,7 +23,7 @@ from braidcalc.templates import (
     parse_template_description,
     per_component_beta_delta,
 )
-from braidcalc.words import BraidWord, format_word, parse_word
+from braidcalc.words import MAX_STRANDS, BraidWord, format_word, parse_word
 
 FLYPE_NEG = flype_template(-1)
 
@@ -112,6 +112,13 @@ def test_skeleton_validation():
         )
     with pytest.raises(WeightConstraintViolation):
         exchange_template(0)
+    # a weight-w template has w + 2 strands, refused before any is built
+    assert exchange_template(MAX_STRANDS - 2).plus.strands == MAX_STRANDS
+    too_wide = f"exchange weight {MAX_STRANDS - 1} needs more"
+    with pytest.raises(WeightConstraintViolation, match=too_wide):
+        exchange_template(MAX_STRANDS - 1)
+    with pytest.raises(WeightConstraintViolation, match="destabilization weight 10"):
+        destabilize_template(1, 10**9)
     with pytest.raises(TemplateError):
         destabilize_template(2)
 

@@ -97,6 +97,20 @@ def test_letter_cap(monkeypatch):
         sigma_power(3, 1, -11)
 
 
+def test_strand_cap():
+    """Strand counts past the cap are refused before any list of that
+    length is built, from the constructor, a prefix or an override."""
+    assert BraidWord(words.MAX_STRANDS).permutation().cycles()[-1] == (words.MAX_STRANDS,)
+    for strands in (words.MAX_STRANDS + 1, 10**9, 10**100):
+        message = f"strands must be in 1..{words.MAX_STRANDS}, got {strands}"
+        with pytest.raises(ValueError, match=message):
+            BraidWord(strands, ((1, 1),))
+        with pytest.raises(ValueError, match=f"got {strands}"):
+            parse_word(f"n={strands} s1")
+        with pytest.raises(ValueError, match=f"got {strands}"):
+            parse_word("s1", default_strands=strands)
+
+
 def test_mul_strand_mismatch():
     with pytest.raises(ValueError):
         parse_word("n=2 s1") * parse_word("n=3 s1")
