@@ -9,6 +9,11 @@ conjugate; free-product conjugacy is cyclic rotation of the cyclically
 reduced word, with single-letter words compared inside their finite
 factor.
 
+``normal_form`` works on syllables, not letters: the image of s_i^k is
+a run of k repeated two-letter blocks, so free reduction, cyclic
+reduction and the least rotation are arithmetic on run lengths, and a
+word's cost is one scan for its syllables plus work per syllable.
+
 The brute-force oracle at the bottom audits the normal-form route by a
 disjoint one: invariant batteries (exponent sum, exact Burau
 characteristic polynomial, and a modular-group class computed from
@@ -19,17 +24,17 @@ which is faithful on three strands.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Union
 
 from .burau import Laurent, burau_matrix, trace
 from .words import BraidWord, sigma_power
 
 __all__ = [
-    "FreeProductWord",
     "B3NormalForm",
-    "quotient_image",
     "normal_form",
     "conjugate_in_B3",
     "UnknotClass",
@@ -46,11 +51,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# free product Z/2 * Z/3: shared reduction engine
+# free product Z/2 * Z/3: letter-level reduction engine
 #
-# The engine is parameterized by letter names so the quotient route
-# (X, Y, Y2) and the oracle's matrix route (S, U, U2) never share state,
-# only code.
+# The oracle's matrix route reduces S/U words with it; the engine takes
+# the letter names as parameters, so the tests run the letter route of
+# the normal form (X, Y, Y2) through the same code as a reference.
 
 def _reduce_z2z3(letters: tuple[str, ...], two: str, y_exp: dict[str, int]) -> tuple[str, ...]:
     by_exp = {v: k for k, v in y_exp.items()}
@@ -114,45 +119,16 @@ def _min_rotation(letters: tuple[str, ...]) -> tuple[str, ...]:
     return doubled[start:start + n]
 
 
-_Y_EXP = {"Y": 1, "Y2": 2}
-
-
-@dataclass(frozen=True)
-class FreeProductWord:
-    """Reduced word in the central quotient of B3.
-
-    Letters: ``X`` (the involution, image of s1 s2 s1) and ``Y``/``Y2``
-    (the order-three element, image of s1 s2, and its square).
-    """
-
-    letters: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for letter in self.letters:
-            if letter not in ("X", "Y", "Y2"):
-                raise ValueError(f"unknown letter {letter!r}")
-
-    @classmethod
-    def from_letters(cls, raw: tuple[str, ...]) -> FreeProductWord:
-        return cls(_reduce_z2z3(tuple(raw), "X", _Y_EXP))
-
-
-# with Y = image(s1 s2) and X = image(s1 s2 s1):
-#   s1 = Y^-1 X = Y2 X,   s1^-1 = X Y,   s2 = X Y^-2 = X Y2,   s2^-1 = Y X
-_LETTER_IMAGES: dict[tuple[int, int], tuple[str, ...]] = {
-    (1, 1): ("Y2", "X"),
-    (1, -1): ("X", "Y"),
-    (2, 1): ("X", "Y2"),
-    (2, -1): ("Y", "X"),
+# The quotient image of a syllable s_i^(+-k) is k letters Y^b with one X
+# between each two and X^g0, X^g1 at its ends, keyed by the letter as
+# (g0, b, g1).  With Y = image(s1 s2) and X = image(s1 s2 s1):
+#   s1^k = (Y2 X)^k,  s1^-k = (X Y)^k,  s2^k = (X Y2)^k,  s2^-k = (Y X)^k
+_SYLLABLE_IMAGES: dict[tuple[int, int], tuple[int, int, int]] = {
+    (1, 1): (0, 2, 1),
+    (1, -1): (1, 1, 0),
+    (2, 1): (1, 2, 0),
+    (2, -1): (0, 1, 1),
 }
-
-
-def quotient_image(word: BraidWord) -> FreeProductWord:
-    """Image of a 3-strand word in the central quotient."""
-    if word.strands != 3:
-        raise ValueError(f"need exactly 3 strands, got {word.strands}")
-    raw = tuple(out for letter in word.letters for out in _LETTER_IMAGES[letter])
-    return FreeProductWord.from_letters(raw)
 
 
 @dataclass(frozen=True)
@@ -171,9 +147,124 @@ class B3NormalForm:
 
 
 def normal_form(word: BraidWord) -> B3NormalForm:
-    image = quotient_image(word)
-    cyc = _cyclic_reduce_z2z3(image.letters, "X", _Y_EXP)
-    return B3NormalForm(word.exponent_sum(), _min_rotation(cyc))
+    """Normal form of a 3-strand word, computed on syllables.
+
+    A freely reduced word in the quotient alternates X with Y or Y2, so
+    it is X^head Y^e1 X Y^e2 X ... X Y^en X^tail.  The exponents are
+    held as runs of equal values.  Runs alternate between 1 and 2, so a
+    run is stored as its length, with the last run's exponent beside
+    the list.  Each syllable is one run.  Where two runs meet with no X
+    between them, Y^a Y^a becomes one letter Y^-a, and Y^a Y^-a cancels
+    along with the X's around it, min(m, k) letters of each run in one
+    step.  Cyclic reduction does the same at both ends of the list.
+
+    >>> str(normal_form(sigma_power(3, 1, 3) * sigma_power(3, 2, -2)))
+    'e=1; [X,Y,X,Y,X,Y2,X,Y2,X,Y2]'
+    """
+    if word.strands != 3:
+        raise ValueError(f"need exactly 3 strands, got {word.strands}")
+    runs: list[int] = []
+    head = tail = top = esum = 0
+    for letter, group in groupby(word.letters):
+        k = len(list(group))
+        esum += letter[1] * k
+        g0, b, g1 = _SYLLABLE_IMAGES[letter]
+        if not runs:  # X^head X^g0
+            head ^= g0
+        elif tail == g0:  # the word's last Y letter meets the syllable's first
+            if top != b:  # Y^a Y^-a: cancel, with the X's between
+                m = runs.pop()
+                if m > k:
+                    runs.append(m - k)
+                    tail = 1 ^ g1
+                    continue
+                k -= m
+                top = b  # the run below has the other exponent
+                if not k:  # an X, or X^head, meets X^g1
+                    if runs:
+                        tail = 1 ^ g1
+                    else:
+                        head = tail = head ^ g1
+                    continue
+                if not runs:
+                    head ^= 1
+            if runs:  # Y^b Y^b = Y^-b
+                m = runs.pop() - 1
+                if m:
+                    runs += (m, 1)
+                elif runs:
+                    runs[-1] += 1
+                else:
+                    runs.append(1)
+                top = 3 - b
+                k -= 1
+        if k:
+            if runs and top == b:
+                runs[-1] += k
+            else:
+                runs.append(k)
+            top = b
+        tail = g1
+    return B3NormalForm(esum, _least_cyclic_word(runs, head, tail, top))
+
+
+def _least_cyclic_word(stack: list[int], head: int, tail: int, top: int) -> tuple[str, ...]:
+    """Cyclically reduce X^head stack X^tail, a run stack of
+    ``normal_form``, and rotate it to its least letter word.
+
+    When head == tail the first and last Y letters meet: the X's at the
+    two ends cancel, or there are none.  A cyclically reduced word of
+    two or more letters is X Y^e1 X Y^e2 ... X Y^en, and its least
+    rotation (X < Y < Y2) is the least rotation of its exponents.  Read
+    them as pairs of runs 1^a 2^b and key each pair (-a, b): a longer
+    run of 1s, or an equal one followed by a shorter run of 2s, is less
+    letter by letter, so ``_min_rotation`` on the keys finds it.
+    """
+    if not stack:
+        return ("X",) if head else ()
+    runs = deque(stack)
+    first = top if len(runs) % 2 else 3 - top
+    if head == tail:
+        while first != top and len(runs) > 1:  # Y^a Y^-a: cancel
+            m = min(runs[0], runs[-1])
+            runs[0] -= m
+            runs[-1] -= m
+            if not runs[-1]:
+                runs.pop()
+                top = 3 - top
+            if runs and not runs[0]:
+                runs.popleft()
+                first = 3 - first
+        if not runs:
+            return ("X",)
+        if len(runs) == 1 and runs[0] == 1:
+            return ("Y" if top == 1 else "Y2",)
+        # Y^a Y^a = Y^-a, as the last letter
+        runs[0] -= 1
+        m = runs.pop() - 1
+        if m:
+            runs += (m, 1)
+        elif runs:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+        top = 3 - top
+        if not runs[0]:
+            runs.popleft()
+            first = 3 - first
+    if len(runs) > 1 and first == top:
+        runs[-1] += runs.popleft()
+        first = 3 - first
+    if len(runs) == 1:
+        return ("X", "Y" if top == 1 else "Y2") * runs[0]
+    if first == 2:
+        runs.append(runs.popleft())
+    pairs = iter(runs)
+    out: list[str] = []
+    for ones, twos in _min_rotation(tuple((-a, b) for a, b in zip(pairs, pairs))):
+        out += ("X", "Y") * -ones
+        out += ("X", "Y2") * twos
+    return tuple(out)
 
 
 def conjugate_in_B3(w1: BraidWord, w2: BraidWord) -> bool:

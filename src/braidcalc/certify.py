@@ -190,10 +190,19 @@ def verdict(params: FamilyParams, checks: CertificationChecks) -> str:
     return VERDICT_CERTIFIED
 
 
+# The largest bound ``sweep`` takes on each of p, q and r.  A sweep holds
+# every report and its time grows faster than the cube of its bounds: on
+# a shared 2-core host, --max 16 takes about 3 s and --max 24, which
+# certifies 11 154 triples, about 14 s.
+SWEEP_MAX = 24
+
+
 def sweep(p_max: int, q_max: int, r_max: int) -> List[CertificationReport]:
     """Certify every admissible triple with 2 <= p,q,r <= the bounds."""
     if min(p_max, q_max, r_max) < 2:
         raise ValueError("sweep bounds must be >= 2")
+    if max(p_max, q_max, r_max) > SWEEP_MAX:
+        raise ValueError(f"sweep bounds must be <= {SWEEP_MAX}")
     reports = []
     for p in range(2, p_max + 1):
         for q in range(2, q_max + 1):

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
+from . import words
 from .words import BraidWord, format_word, parse_word
 
 __all__ = [
@@ -75,25 +76,23 @@ class Destabilize:
     sign: int
 
     def apply(self, word: BraidWord) -> BraidWord:
-        """Drop a final sigma_{n-1}^sign, searching cyclic representatives.
+        """Drop a final sigma_{n-1}^sign, taking a cyclic representative.
 
         The freely reduced word must use the last generator exactly once
-        and with the requested sign; the first qualifying rotation (in
-        rotation order) is the one destabilized, so replays are exact.
+        and with the requested sign; exactly one rotation ends in that
+        letter, the one starting just after it, so replays are exact.
         """
         if word.strands < 2:
             raise NotDestabilizable("no strand to remove")
         top = word.strands - 1
-        reduced = word.free_reduced()
-        uses = [s for i, s in reduced.letters if i == top]
-        if len(uses) != 1 or uses[0] != self.sign:
+        letters = word.free_reduced().letters
+        uses = [k for k, (i, _) in enumerate(letters) if i == top]
+        if len(uses) != 1 or letters[uses[0]][1] != self.sign:
             raise NotDestabilizable(
                 f"last generator must occur exactly once with sign {self.sign}"
             )
-        for rot in reduced.rotations():
-            if rot.letters and rot.letters[-1] == (top, self.sign):
-                return BraidWord(word.strands - 1, rot.letters[:-1])
-        raise NotDestabilizable("no rotation ends in the required letter")
+        k = uses[0]
+        return BraidWord(word.strands - 1, letters[k + 1:] + letters[:k])
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,12 @@ class ConjugateBy:
     conjugator: BraidWord
 
     def apply(self, word: BraidWord) -> BraidWord:
+        """g * word * g^-1, refused past ``words.MAX_LETTERS`` letters."""
+        length = len(word) + 2 * len(self.conjugator)
+        if length > words.MAX_LETTERS:
+            raise MoveError(
+                f"conjugating gives {length} letters, more than {words.MAX_LETTERS}"
+            )
         return word.conjugated_by(self.conjugator)
 
 

@@ -151,20 +151,6 @@ class BraidWord:
             images[strand - 1] = pos
         return StrandPermutation(tuple(images))
 
-    def rotated(self, k: int) -> BraidWord:
-        """Cyclic rotation moving the first ``k`` letters to the end."""
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return BraidWord(self.strands, self.letters[k:] + self.letters[:k])
-
-    def rotations(self) -> tuple[BraidWord, ...]:
-        """All cyclic rotations, in rotation order.  The empty word has
-        exactly one rotation, itself."""
-        if not self.letters:
-            return (self,)
-        return tuple(self.rotated(k) for k in range(len(self.letters)))
-
 
 def sigma_power(strands: int, index: int, power: int) -> BraidWord:
     """sigma_index^power as a word on ``strands`` strands."""

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hypothesis import strategies as st
 
+from braidcalc.b3 import B3NormalForm, _cyclic_reduce_z2z3, _min_rotation, _reduce_z2z3
 from braidcalc.burau import Laurent
 from braidcalc.moves import Exchange, InvalidSplit
 from braidcalc.words import BraidWord, sigma_power
@@ -75,3 +78,52 @@ def syllable_words() -> st.SearchStrategy[BraidWord]:
         )
 
     return st.integers(min_value=2, max_value=6).flatmap(build)
+
+
+_Y_EXP = {"Y": 1, "Y2": 2}
+
+
+# The letter-level route to the B3 normal form, kept as an independent
+# reference for the run-length ``b3.normal_form``.
+# With Y = image(s1 s2) and X = image(s1 s2 s1):
+#   s1 = Y^-1 X = Y2 X,   s1^-1 = X Y,   s2 = X Y^-2 = X Y2,   s2^-1 = Y X
+_LETTER_IMAGES: dict[tuple[int, int], tuple[str, ...]] = {
+    (1, 1): ("Y2", "X"),
+    (1, -1): ("X", "Y"),
+    (2, 1): ("X", "Y2"),
+    (2, -1): ("Y", "X"),
+}
+
+
+@dataclass(frozen=True)
+class FreeProductWord:
+    """Reduced word in the central quotient of B3.
+
+    Letters: ``X`` (the involution, image of s1 s2 s1) and ``Y``/``Y2``
+    (the order-three element, image of s1 s2, and its square).
+    """
+
+    letters: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for letter in self.letters:
+            if letter not in ("X", "Y", "Y2"):
+                raise ValueError(f"unknown letter {letter!r}")
+
+    @classmethod
+    def from_letters(cls, raw: tuple[str, ...]) -> FreeProductWord:
+        return cls(_reduce_z2z3(tuple(raw), "X", _Y_EXP))
+
+
+def quotient_image(word: BraidWord) -> FreeProductWord:
+    """Image of a 3-strand word in the central quotient, letter by letter."""
+    if word.strands != 3:
+        raise ValueError(f"need exactly 3 strands, got {word.strands}")
+    raw = tuple(out for letter in word.letters for out in _LETTER_IMAGES[letter])
+    return FreeProductWord.from_letters(raw)
+
+
+def letter_normal_form(word: BraidWord) -> B3NormalForm:
+    """``b3.normal_form`` by the letter route."""
+    cyc = _cyclic_reduce_z2z3(quotient_image(word).letters, "X", _Y_EXP)
+    return B3NormalForm(word.exponent_sum(), _min_rotation(cyc))

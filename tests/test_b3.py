@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 from braidcalc.b3 import (
     B3NormalForm,
     Conjugate,
-    FreeProductWord,
     GenericUnique,
     NotConjugate,
     TorusKnot2k,
@@ -18,8 +20,6 @@ from braidcalc.b3 import (
     conjugate_in_B3,
     kolee_both_signs,
     normal_form,
-    quotient_image,
-    _Y_EXP,
     _cyclic_reduce_z2z3,
     _min_rotation,
     _psl2z_class,
@@ -28,7 +28,13 @@ from braidcalc.b3 import (
 from braidcalc.burau import burau_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
-from conftest import braid_words_3
+from conftest import (
+    FreeProductWord,
+    _Y_EXP,
+    braid_words_3,
+    letter_normal_form,
+    quotient_image,
+)
 
 DELTA_SQ = parse_word("n=3 s1 s2 s1 s2 s1 s2")
 TX_PLUS = parse_word("n=3 s1^5 s2^8 s1^6 s2^-1")
@@ -38,6 +44,8 @@ TX_MINUS = parse_word("n=3 s1^5 s2^-1 s1^6 s2^8")
 # classes differ (the cyclic word is chiral)
 REV_A = parse_word("n=3 s1^-2 s2 s1^-1 s2^2")
 REV_B = parse_word("n=3 s2^2 s1^-1 s2 s1^-2")
+
+_B3_LETTERS = ((1, 1), (1, -1), (2, 1), (2, -1))
 
 
 def test_quotient_image_frozen():
@@ -52,6 +60,8 @@ def test_quotient_requires_three_strands():
     with pytest.raises(ValueError):
         quotient_image(parse_word("n=2 s1"))
     with pytest.raises(ValueError):
+        normal_form(parse_word("n=2 s1"))
+    with pytest.raises(ValueError):
         classify_closure(parse_word("n=4 s1"))
 
 
@@ -62,6 +72,23 @@ def test_normal_form_frozen():
     assert normal_form(parse_word("n=3 s2 s1")) == nf
     assert normal_form(BraidWord(3, ())) == B3NormalForm(0, ())
     assert str(normal_form(TX_PLUS)).startswith("e=18; [")
+
+
+def test_normal_form_digest_of_short_words():
+    """Normal forms of the 1 457 freely reduced words of length <= 6,
+    frozen from the letter route."""
+    words = [
+        w
+        for n in range(7)
+        for w in product(_B3_LETTERS, repeat=n)
+        if all(a[0] != b[0] or a[1] != -b[1] for a, b in zip(w, w[1:]))
+    ]
+    assert len(words) == 1457
+    text = "\n".join(str(normal_form(BraidWord(3, w))) for w in words)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "269684e56e463f672e30e227598e4d505d5d96ee1df620a38de6e94cebbd6092"
+    )
 
 
 def test_central_multiplication_shifts_exponent_only():
@@ -186,6 +213,28 @@ def test_quotient_image_is_a_homomorphism(w1: BraidWord, w2: BraidWord):
 def test_quotient_image_inverse(w: BraidWord):
     product = quotient_image(w).letters + quotient_image(w.inverse()).letters
     assert FreeProductWord.from_letters(product) == FreeProductWord(())
+
+
+# syllables s_i^(+-k) with k up to a few hundred, and below 4 half the
+# time, so that unreduced words such as s1 s1^-1 come up
+_b3_syllables = st.tuples(
+    st.sampled_from(_B3_LETTERS),
+    st.one_of(st.integers(1, 3), st.integers(1, 400)),
+).map(lambda pair: (pair[0],) * pair[1])
+_b3_syllable_words = st.lists(_b3_syllables, max_size=8).map(
+    lambda parts: BraidWord(3, tuple(x for part in parts for x in part))
+)
+
+
+@given(
+    _b3_syllable_words,
+    st.one_of(st.just(BraidWord(3, ())), _b3_syllable_words, braid_words_3(max_length=6)),
+)
+def test_normal_form_matches_letter_route(w: BraidWord, g: BraidWord):
+    """Run-length route against the letter route, on w and on g w g^-1
+    unreduced, so that cancellation reaches across whole runs."""
+    for word in (w, w.conjugated_by(g)):
+        assert normal_form(word) == letter_normal_form(word)
 
 
 @given(braid_words_3(max_length=8), braid_words_3(max_length=6))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.certify import (
+    SWEEP_MAX,
     VERDICT_CERTIFIED,
     FamilyParams,
     certify,
@@ -123,6 +124,13 @@ def test_sweep_small_bounds():
     assert all(rep.certified for rep in reports)
     with pytest.raises(ValueError):
         sweep(1, 5, 5)
+
+
+def test_sweep_cap():
+    """Each bound past the cap is refused before anything is certified."""
+    for bounds in ((SWEEP_MAX + 1, 2, 2), (2, SWEEP_MAX + 1, 2), (2, 2, 10**9)):
+        with pytest.raises(ValueError, match=f"sweep bounds must be <= {SWEEP_MAX}"):
+            sweep(*bounds)
 
 
 def test_sweep_five_all_certified():

@@ -330,6 +330,18 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
                        '"assignment": {"P": "s1", "Q": "s1"}}'},
             "exchange weight 1000000000 needs more than 500 strands", id="desc-huge-weight",
         ),
+        pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "conjugate", "conjugator": "s1^1000000"}], %s}'
+             % TOWER_HEAD},
+            "bad tower description: move 0 (conjugate): "
+            "conjugating gives 2000002 letters, more than 1000000",
+            id="tower-conjugate-past-letter-cap",
+        ),
+        pytest.param(
+            ["sweep", "--max", "1000000"], {},
+            "sweep bounds must be <= 24", id="sweep-past-cap",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):

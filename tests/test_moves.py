@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import braidcalc.words as words
 from braidcalc.links import alexander_polynomial
 from braidcalc.moves import (
     ConjugateBy,
@@ -11,6 +12,7 @@ from braidcalc.moves import (
     Exchange,
     FoliationCounts,
     InvalidSplit,
+    MoveError,
     NotDestabilizable,
     Stabilize,
     tower_from_json,
@@ -49,6 +51,29 @@ def test_destabilize_searches_rotations():
         Destabilize(1).apply(parse_word("n=3 s2 s1 s2"))
 
 
+@given(braid_words(min_strands=2, max_strands=4, max_length=10), st.sampled_from((1, -1)))
+def test_destabilize_is_the_rotation_ending_in_the_letter(w: BraidWord, sign: int):
+    """The one rotation taken is the first, in rotation order, of the
+    reduced word that ends in sigma_{n-1}^sign."""
+    letters = w.free_reduced().letters
+    last = (w.strands - 1, sign)
+    ending = [
+        letters[k:] + letters[:k]
+        for k in range(len(letters))
+        if (letters[k:] + letters[:k])[-1] == last
+    ]
+    if sum(i == w.strands - 1 for i, _ in letters) != 1 or not ending:
+        with pytest.raises(NotDestabilizable):
+            Destabilize(sign).apply(w)
+    else:
+        assert Destabilize(sign).apply(w) == BraidWord(w.strands - 1, ending[0][:-1])
+
+
+def test_destabilize_long_word():
+    w = parse_word("n=3 s2 s1^200000")
+    assert Destabilize(1).apply(w) == parse_word("n=2 s1^200000")
+
+
 def test_destabilize_free_reduces_first():
     w = parse_word("n=3 s1 s2 s2^-1 s1 s2")
     assert Destabilize(1).apply(w) == parse_word("n=2 s1^2")
@@ -58,6 +83,22 @@ def test_conjugate():
     w = parse_word("n=3 s1")
     g = parse_word("n=3 s2")
     assert ConjugateBy(g).apply(w) == parse_word("n=3 s2 s1 s2^-1")
+
+
+def test_conjugate_cap(monkeypatch):
+    """A conjugate move is refused before it builds a word of more than
+    MAX_LETTERS letters, and a tower names the move."""
+    monkeypatch.setattr(words, "MAX_LETTERS", 10)
+    g = parse_word("n=3 s2^3")
+    assert len(ConjugateBy(g).apply(parse_word("n=3 s1^4"))) == 10
+    with pytest.raises(MoveError, match="conjugating gives 11 letters, more than 10"):
+        ConjugateBy(g).apply(parse_word("n=3 s1^5"))
+    text = (
+        '{"initial_word": "n=3 s1", "mode": "topological", "moves": '
+        '[{"kind": "conjugate", "conjugator": "s2^2"}, {"kind": "conjugate", "conjugator": "s1^3"}]}'
+    )
+    with pytest.raises(ValueError, match=r"^move 1 \(conjugate\): conjugating gives 11 letters"):
+        tower_from_json(text)
 
 
 def test_exchange_frozen():
