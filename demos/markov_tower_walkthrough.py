@@ -11,7 +11,6 @@ from braidcalc.moves import (
     ConjugateBy,
     Destabilize,
     Stabilize,
-    tower_from_moves,
     tower_to_json,
     validate_tower,
 )
@@ -23,12 +22,15 @@ moves = (
     ConjugateBy(parse_word("n=4 s1^-1 s2")),
     Destabilize(1),
 )
-tower = tower_from_moves(start, moves, "transversal")
 
-for step, state in enumerate(tower.states):
+# a tower is its initial word and its moves; replay them to see the states
+state = start
+print(f"state 0: {state}  (beta={state.bennequin()})")
+for step, move in enumerate(moves, start=1):
+    state = move.apply(state)
     print(f"state {step}: {state}  (beta={state.bennequin()})")
 
-report = validate_tower(tower)
+report = validate_tower("transversal", start, moves)
 print("valid:", report.ok)
 c = report.counts
 print(f"counts: v+={c.v_plus} v-={c.v_minus} s+={c.s_plus} s-={c.s_minus}")
@@ -37,16 +39,16 @@ print()
 
 # a negative stabilization changes the self-linking number, so the
 # transversal validator must refuse it
-bad = tower_from_moves(start, (Stabilize(-1),), "transversal")
-report = validate_tower(bad)
+bad = (Stabilize(-1),)
+report = validate_tower("transversal", start, bad)
 print("negative stabilization, transversal mode:", "valid" if report.ok else "rejected")
 for code, step in report.problems:
     print(f"  step {step}: {code}")
 
 # the same tower is fine as a purely topological deformation
-report = validate_tower(tower_from_moves(start, (Stabilize(-1),), "topological"))
+report = validate_tower("topological", start, bad)
 print("negative stabilization, topological mode:", "valid" if report.ok else "rejected")
 print()
 
 print("serialized tower:")
-print(tower_to_json(bad))
+print(tower_to_json("transversal", start, bad))

@@ -314,10 +314,8 @@ def classify_closure(word: BraidWord) -> ClosureClass:
     once, with a candidate's.  Everything else closes to a link with a
     unique class.
     """
-    if word.strands != 3:
-        raise ValueError(f"need exactly 3 strands, got {word.strands}")
-    e = word.exponent_sum()
     nf = normal_form(word)
+    e = nf.exponent_sum
     for mu, tau in ((1, 1), (-1, -1), (1, -1)):
         if mu + tau != e:
             continue

@@ -182,10 +182,9 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
         else:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        tower = tower_from_json(text)
+        result = validate_tower(*tower_from_json(text))
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad tower description: {exc}") from None
-    result = validate_tower(tower)
     counts = asdict(result.counts)
     payload = {
         "ok": result.ok,

@@ -1,9 +1,10 @@
 """Markov moves on closed-braid representatives and audited move towers.
 
-A tower is a sequence of words linked by moves.  ``validate_tower``
-replays every move independently of how the tower was built, checks the
-mode's legality rules, and attributes elliptic/hyperbolic point counts
-(v+, v-, s+, s-) of the swept annulus foliation to the moves:
+A tower is a mode, an initial word and a sequence of moves.
+``validate_tower`` replays the moves, keeping only the current word,
+checks the mode's legality rules, and attributes elliptic/hyperbolic
+point counts (v+, v-, s+, s-) of the swept annulus foliation to the
+moves:
 
 * positive stabilization or destabilization: one positive vertex and one
   positive singularity,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from . import words
 from .words import BraidWord, format_word, parse_word
@@ -38,8 +39,6 @@ __all__ = [
     "MoveError",
     "NotDestabilizable",
     "InvalidSplit",
-    "MarkovTower",
-    "tower_from_moves",
     "FoliationCounts",
     "TowerValidation",
     "validate_tower",
@@ -143,42 +142,11 @@ Move = Union[Stabilize, Destabilize, ConjugateBy, Exchange]
 
 
 @dataclass(frozen=True)
-class MarkovTower:
-    """Words chained by moves; states[k+1] is claimed to be the result of
-    moves[k] acting on states[k]."""
-
-    mode: str
-    states: tuple[BraidWord, ...]
-    moves: tuple[Move, ...]
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("transversal", "topological"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.states) != len(self.moves) + 1:
-            raise ValueError("need exactly one more state than moves")
-
-
-def tower_from_moves(initial: BraidWord, moves: tuple[Move, ...], mode: str) -> MarkovTower:
-    states = [initial]
-    for move in moves:
-        states.append(move.apply(states[-1]))
-    return MarkovTower(mode, tuple(states), tuple(moves))
-
-
-@dataclass(frozen=True)
 class FoliationCounts:
     v_plus: int = 0
     v_minus: int = 0
     s_plus: int = 0
     s_minus: int = 0
-
-    def add(self, dv_plus: int, dv_minus: int, ds_plus: int, ds_minus: int) -> FoliationCounts:
-        return FoliationCounts(
-            self.v_plus + dv_plus,
-            self.v_minus + dv_minus,
-            self.s_plus + ds_plus,
-            self.s_minus + ds_minus,
-        )
 
 
 @dataclass(frozen=True)
@@ -196,42 +164,41 @@ def _counts_for(move: Move) -> tuple[int, int, int, int]:
     return (0, 0, 0, 0)
 
 
-def validate_tower(tower: MarkovTower) -> TowerValidation:
-    """Replay, legality-check, and balance a tower.
+def validate_tower(mode: str, initial: BraidWord, moves: Iterable[Move]) -> TowerValidation:
+    """Replay, legality-check, and balance a tower, one state at a time.
 
-    Problems carry (code, step).  Codes: ``step_mismatch`` when replaying
-    a move does not give the recorded next state (up to free reduction),
-    ``illegal_move_for_mode`` for negative (de)stabilizations in
-    transversal mode, ``bennequin_drift`` when a transversal tower's
-    self-linking changes, and ``bennequin_identity`` when the foliation
-    count bookkeeping fails across the tower.
+    A move that does not apply raises ``MoveError`` naming its index and
+    kind; an unknown mode is a ``ValueError`` once every move has applied.
+    Problems carry (code, step).  Codes: ``illegal_move_for_mode`` for
+    negative (de)stabilizations in transversal mode, ``bennequin_drift``
+    at the first state of a transversal tower whose self-linking differs
+    from the initial word's, and ``bennequin_identity`` when the
+    foliation count bookkeeping fails across the tower.
     """
-    problems: list[tuple[str, int]] = []
-    counts = FoliationCounts()
-    for k, move in enumerate(tower.moves):
-        if tower.mode == "transversal" and isinstance(move, (Stabilize, Destabilize)):
-            if move.sign < 0:
-                problems.append(("illegal_move_for_mode", k))
+    transversal = mode == "transversal"
+    illegal: list[tuple[str, int]] = []
+    drift: list[tuple[str, int]] = []
+    first = initial.bennequin()
+    state, step, counts = initial, 0, [0, 0, 0, 0]
+    for move in moves:
+        if transversal and isinstance(move, (Stabilize, Destabilize)) and move.sign < 0:
+            illegal.append(("illegal_move_for_mode", step))
         try:
-            replayed = move.apply(tower.states[k])
-        except MoveError:
-            problems.append(("step_mismatch", k))
-            counts = counts.add(*_counts_for(move))
-            continue
-        if replayed.free_reduced() != tower.states[k + 1].free_reduced():
-            problems.append(("step_mismatch", k))
-        counts = counts.add(*_counts_for(move))
-    if tower.mode == "transversal":
-        first = tower.states[0].bennequin()
-        for k, state in enumerate(tower.states):
-            if state.bennequin() != first:
-                problems.append(("bennequin_drift", k))
-                break
-    delta = tower.states[0].bennequin() - tower.states[-1].bennequin()
-    balance = (counts.s_plus - counts.s_minus) - (counts.v_plus - counts.v_minus)
-    if delta != balance:
-        problems.append(("bennequin_identity", len(tower.moves)))
-    return TowerValidation(not problems, counts, tuple(problems))
+            state = move.apply(state)
+        except ValueError as exc:
+            raise MoveError(f"move {step} ({_move_to_obj(move)['kind']}): {exc}") from None
+        counts = [c + d for c, d in zip(counts, _counts_for(move))]
+        step += 1
+        if transversal and not drift and state.bennequin() != first:
+            drift.append(("bennequin_drift", step))
+    if mode not in ("transversal", "topological"):
+        raise ValueError(f"unknown mode {mode!r}")
+    totals = FoliationCounts(*counts)
+    balance = (totals.s_plus - totals.s_minus) - (totals.v_plus - totals.v_minus)
+    problems = illegal + drift
+    if first - state.bennequin() != balance:
+        problems.append(("bennequin_identity", step))
+    return TowerValidation(not problems, totals, tuple(problems))
 
 
 def _move_to_obj(move: Move) -> dict:
@@ -277,19 +244,30 @@ def _move_from_obj(obj: dict, strands: int, index: int) -> Move:
     raise ValueError(f"move {index} has unknown kind {kind!r}")
 
 
-def tower_to_json(tower: MarkovTower) -> str:
+def tower_to_json(mode: str, initial: BraidWord, moves: Iterable[Move]) -> str:
     return json.dumps(
         {
-            "mode": tower.mode,
-            "initial_word": format_word(tower.states[0]),
-            "moves": [_move_to_obj(m) for m in tower.moves],
+            "mode": mode,
+            "initial_word": format_word(initial),
+            "moves": [_move_to_obj(m) for m in moves],
         },
         indent=2,
     )
 
 
-def tower_from_json(text: str) -> MarkovTower:
-    """Rebuild a tower from its JSON description by replaying the moves."""
+def _moves_from_objs(objs: list, strands: int) -> Iterator[Move]:
+    """Decode moves one at a time, each at the strand count the moves
+    before it leave, so a replay decodes a move only after the previous
+    one applied."""
+    for index, obj in enumerate(objs):
+        move = _move_from_obj(obj, strands, index)
+        yield move
+        strands += {Stabilize: 1, Destabilize: -1}.get(type(move), 0)
+
+
+def tower_from_json(text: str) -> tuple[str, BraidWord, Iterator[Move]]:
+    """The mode, the initial word and the lazily decoded moves of a
+    tower's JSON description; ``validate_tower`` replays them."""
     try:
         obj = json.loads(text)
     except RecursionError:
@@ -301,12 +279,5 @@ def tower_from_json(text: str) -> MarkovTower:
             raise ValueError(f"missing key {key!r}")
         if not isinstance(obj[key], kind):
             raise ValueError(f"{key!r} must be a JSON {'array' if kind is list else 'string'}")
-    states = [parse_word(obj["initial_word"])]
-    moves: list[Move] = []
-    for index, raw in enumerate(obj["moves"]):
-        moves.append(_move_from_obj(raw, states[-1].strands, index))
-        try:
-            states.append(moves[-1].apply(states[-1]))
-        except ValueError as exc:
-            raise ValueError(f"move {index} ({raw['kind']}): {exc}") from None
-    return MarkovTower(obj["mode"], tuple(states), tuple(moves))
+    initial = parse_word(obj["initial_word"])
+    return obj["mode"], initial, _moves_from_objs(obj["moves"], initial.strands)

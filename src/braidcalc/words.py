@@ -101,11 +101,7 @@ class BraidWord:
         return iter(self.letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
-        if other.strands != self.strands:
-            raise ValueError(
-                f"cannot multiply words on {self.strands} and {other.strands} strands"
-            )
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord(_common_strands(self, other), self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -121,8 +117,8 @@ class BraidWord:
         )
 
     def conjugated_by(self, g: BraidWord) -> BraidWord:
-        """g * self * g^-1, unreduced."""
-        return g * self * g.inverse()
+        """g * self * g^-1, unreduced, built and validated once."""
+        return BraidWord(_common_strands(g, self), g.letters + self.letters + g.inverse().letters)
 
     def free_reduced(self) -> BraidWord:
         """Cancel adjacent inverse pairs until none remain."""
@@ -150,6 +146,13 @@ class BraidWord:
         for pos, strand in enumerate(occupant, start=1):
             images[strand - 1] = pos
         return StrandPermutation(tuple(images))
+
+
+def _common_strands(left: BraidWord, right: BraidWord) -> int:
+    """The strand count of a product of the two words."""
+    if left.strands != right.strands:
+        raise ValueError(f"cannot multiply words on {left.strands} and {right.strands} strands")
+    return left.strands
 
 
 def sigma_power(strands: int, index: int, power: int) -> BraidWord:

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from braidcalc.b3 import B3NormalForm, _cyclic_reduce_z2z3, _min_rotation, _reduce_z2z3
 from braidcalc.burau import Laurent
-from braidcalc.moves import Exchange, InvalidSplit
+from braidcalc.moves import (
+    Destabilize,
+    Exchange,
+    FoliationCounts,
+    InvalidSplit,
+    Move,
+    Stabilize,
+    TowerValidation,
+)
 from braidcalc.words import BraidWord, sigma_power
 
 
@@ -35,6 +43,45 @@ def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:
             continue
         out.append((i, j))
     return tuple(out)
+
+
+# (v+, v-, s+, s-) per move: (de)stabilizations by sign, none otherwise
+_FOLIATION_COUNTS = {
+    (Stabilize, 1): (1, 0, 1, 0),
+    (Stabilize, -1): (0, 1, 1, 0),
+    (Destabilize, 1): (1, 0, 1, 0),
+    (Destabilize, -1): (1, 0, 0, 1),
+}
+
+
+def reference_validate_tower(
+    mode: str, initial: BraidWord, moves: tuple[Move, ...]
+) -> TowerValidation:
+    """``moves.validate_tower`` by building and keeping every state first,
+    then checking legality, drift across all states and the balance."""
+    if mode not in ("transversal", "topological"):
+        raise ValueError(f"unknown mode {mode!r}")
+    states = [initial]
+    for move in moves:
+        states.append(move.apply(states[-1]))
+    problems: list[tuple[str, int]] = []
+    counts = [0, 0, 0, 0]
+    for k, move in enumerate(moves):
+        if mode == "transversal" and isinstance(move, (Stabilize, Destabilize)):
+            if move.sign < 0:
+                problems.append(("illegal_move_for_mode", k))
+        delta = _FOLIATION_COUNTS.get((type(move), getattr(move, "sign", 0)), (0, 0, 0, 0))
+        counts = [c + d for c, d in zip(counts, delta)]
+    if mode == "transversal":
+        first = states[0].bennequin()
+        for k, state in enumerate(states):
+            if state.bennequin() != first:
+                problems.append(("bennequin_drift", k))
+                break
+    v_plus, v_minus, s_plus, s_minus = counts
+    if states[0].bennequin() - states[-1].bennequin() != (s_plus - s_minus) - (v_plus - v_minus):
+        problems.append(("bennequin_identity", len(moves)))
+    return TowerValidation(not problems, FoliationCounts(*counts), tuple(problems))
 
 
 def braid_words(

@@ -145,11 +145,12 @@ def test_bennequin_decomposes_over_components():
         assert word.bennequin() == total, str(word)
 
 
-def random_transversal_tower(rng: random.Random) -> mv.MarkovTower:
-    initial = random_word(rng, rng.randint(2, 4), rng.randint(1, 8))
-    word = initial
+def random_transversal_tower(rng: random.Random) -> tuple[list[BraidWord], tuple[mv.Move, ...]]:
+    """The moves of a random transversal tower and every state they pass."""
+    states = [random_word(rng, rng.randint(2, 4), rng.randint(1, 8))]
     moves: list[mv.Move] = []
     for _ in range(rng.randint(1, 20)):
+        word = states[-1]
         options: list[mv.Move] = [mv.Stabilize(1)]
         try:
             mv.Destabilize(1).apply(word)
@@ -164,26 +165,23 @@ def random_transversal_tower(rng: random.Random) -> mv.MarkovTower:
             mv.ConjugateBy(random_word(rng, word.strands, rng.randint(1, 3)))
         )
         move = rng.choice(options)
-        word = move.apply(word)
+        states.append(move.apply(word))
         moves.append(move)
-    return mv.tower_from_moves(initial, tuple(moves), "transversal")
+    return states, tuple(moves)
 
 
 def test_transversal_towers_validate_and_reject_negative_stabilization():
     rng = random.Random(5)
     for _ in range(1000):
-        tower = random_transversal_tower(rng)
-        validation = mv.validate_tower(tower)
+        states, moves = random_transversal_tower(rng)
+        validation = mv.validate_tower("transversal", states[0], moves)
         assert validation.ok, validation.problems
-        betas = {state.bennequin() for state in tower.states}
+        betas = {state.bennequin() for state in states}
         assert len(betas) == 1
         c = validation.counts
         assert (c.s_plus - c.s_minus) - (c.v_plus - c.v_minus) == 0
 
-        bad = mv.tower_from_moves(
-            tower.states[0], tower.moves + (mv.Stabilize(-1),), "transversal"
-        )
-        bad_validation = mv.validate_tower(bad)
+        bad_validation = mv.validate_tower("transversal", states[0], moves + (mv.Stabilize(-1),))
         assert not bad_validation.ok
         assert any(code == "illegal_move_for_mode" for code, _ in bad_validation.problems)
 

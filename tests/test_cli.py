@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.cli import main
-from braidcalc.moves import ConjugateBy, Stabilize, tower_from_moves, tower_to_json
+from braidcalc.moves import ConjugateBy, Stabilize, tower_to_json
 from braidcalc.words import parse_word
 
 
@@ -114,19 +114,17 @@ def test_flype_desc_file(capsys, tmp_path):
 
 
 def test_tower_validate(capsys, tmp_path):
-    tower = tower_from_moves(
+    path = tmp_path / "tower.json"
+    path.write_text(tower_to_json(
+        "transversal",
         parse_word("n=3 s1 s2"),
         (Stabilize(1), ConjugateBy(parse_word("n=4 s2"))),
-        "transversal",
-    )
-    path = tmp_path / "tower.json"
-    path.write_text(tower_to_json(tower))
+    ))
     code, out, _ = run_cli(capsys, "tower-validate", str(path))
     assert code == 0
     assert out.splitlines()[0] == "ok: true"
 
-    bad = tower_from_moves(parse_word("n=3 s1 s2"), (Stabilize(-1),), "transversal")
-    path.write_text(tower_to_json(bad))
+    path.write_text(tower_to_json("transversal", parse_word("n=3 s1 s2"), (Stabilize(-1),)))
     code, out, _ = run_cli(capsys, "tower-validate", str(path), "--format", "json")
     assert code == 1
     payload = json.loads(out)

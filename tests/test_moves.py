@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,13 +18,12 @@ from braidcalc.moves import (
     NotDestabilizable,
     Stabilize,
     tower_from_json,
-    tower_from_moves,
     tower_to_json,
     validate_tower,
 )
 from braidcalc.words import BraidWord, parse_word
 
-from conftest import braid_words, find_exchange_splits
+from conftest import braid_words, find_exchange_splits, reference_validate_tower
 
 
 def test_stabilize():
@@ -97,8 +98,8 @@ def test_conjugate_cap(monkeypatch):
         '{"initial_word": "n=3 s1", "mode": "topological", "moves": '
         '[{"kind": "conjugate", "conjugator": "s2^2"}, {"kind": "conjugate", "conjugator": "s1^3"}]}'
     )
-    with pytest.raises(ValueError, match=r"^move 1 \(conjugate\): conjugating gives 11 letters"):
-        tower_from_json(text)
+    with pytest.raises(MoveError, match=r"^move 1 \(conjugate\): conjugating gives 11 letters"):
+        validate_tower(*tower_from_json(text))
 
 
 def test_exchange_frozen():
@@ -131,12 +132,11 @@ def test_exchange_preserves_link():
 
 def test_tower_transversal_valid():
     w = parse_word("n=2 s1^3")
-    tower = tower_from_moves(
+    result = validate_tower(
+        "transversal",
         w,
         (Stabilize(1), ConjugateBy(parse_word("n=3 s1")), Destabilize(1)),
-        "transversal",
     )
-    result = validate_tower(tower)
     assert result.ok
     assert result.problems == ()
     assert (result.counts.v_plus, result.counts.v_minus) == (2, 0)
@@ -145,8 +145,7 @@ def test_tower_transversal_valid():
 
 def test_tower_transversal_rejects_negative_moves():
     w = parse_word("n=2 s1^3")
-    tower = tower_from_moves(w, (Stabilize(-1),), "transversal")
-    result = validate_tower(tower)
+    result = validate_tower("transversal", w, (Stabilize(-1),))
     assert not result.ok
     codes = {code for code, _ in result.problems}
     assert "illegal_move_for_mode" in codes
@@ -155,34 +154,105 @@ def test_tower_transversal_rejects_negative_moves():
 
 def test_tower_topological_allows_negative_moves():
     w = parse_word("n=2 s1^3")
-    tower = tower_from_moves(w, (Stabilize(-1), Destabilize(-1)), "topological")
-    result = validate_tower(tower)
+    result = validate_tower("topological", w, (Stabilize(-1), Destabilize(-1)))
     assert result.ok
     assert result.counts == FoliationCounts(1, 1, 1, 1)
 
 
-def test_tower_detects_tampered_state():
+@pytest.mark.parametrize(
+    "moves, message",
+    [
+        pytest.param(
+            (Stabilize(1), Destabilize(-1)),
+            "move 1 (destabilize): last generator must occur exactly once with sign -1",
+            id="destabilize",
+        ),
+        pytest.param(
+            (ConjugateBy(parse_word("n=4 s3")),),
+            "move 0 (conjugate): cannot multiply words on 4 and 2 strands",
+            id="conjugate",
+        ),
+        pytest.param(
+            (Stabilize(1), Exchange((0, 3))),
+            "move 1 (exchange): split positions must hold opposite last-generator letters",
+            id="exchange",
+        ),
+        pytest.param(
+            (Stabilize(2),), "move 0 (stabilize): sign must be +-1, got 2", id="stabilize"
+        ),
+    ],
+)
+def test_tower_move_that_does_not_apply_is_named(moves, message):
+    """The replay stops at the first move that does not apply and names
+    its index and kind; the moves after it are never asked for."""
+
+    def stream():
+        yield from moves
+        raise AssertionError("a move after the faulty one was decoded")
+
+    with pytest.raises(MoveError) as info:
+        validate_tower("transversal", parse_word("n=2 s1^3"), stream())
+    assert str(info.value) == message
+
+
+def test_tower_unknown_mode_only_after_the_moves_apply():
     w = parse_word("n=2 s1^3")
-    tower = tower_from_moves(w, (Stabilize(1),), "transversal")
-    tampered = tower.__class__(
-        tower.mode, (tower.states[0], parse_word("n=3 s1^3 s2^-1")), tower.moves
-    )
-    result = validate_tower(tampered)
-    assert not result.ok
-    assert ("step_mismatch", 0) in result.problems
+    with pytest.raises(MoveError, match=r"^move 0 \(destabilize\)"):
+        validate_tower("smooth", w, (Destabilize(1),))
+    with pytest.raises(ValueError, match="^unknown mode 'smooth'$"):
+        validate_tower("smooth", w, (Stabilize(1),))
+
+
+def _random_tower(rng: random.Random) -> tuple[str, BraidWord, tuple]:
+    """A tower of moves that all apply, negative (de)stabilizations included."""
+
+    def letters(strands: int, low: int, high: int) -> tuple:
+        length = rng.randint(low, high)
+        return tuple((rng.randint(1, strands - 1), rng.choice((1, -1))) for _ in range(length))
+
+    strands = rng.randint(2, 4)
+    initial = BraidWord(strands, letters(strands, 0, 8))
+    word, moves = initial, []
+    for _ in range(rng.randint(0, 12)):
+        options = [Stabilize(1), Stabilize(-1)] if word.strands < 6 else []
+        for sign in (1, -1):
+            try:
+                Destabilize(sign).apply(word)
+            except MoveError:
+                continue
+            options += [Destabilize(sign)] * 3
+        options += [Exchange(split) for split in find_exchange_splits(word)]
+        if word.strands > 1:
+            options.append(ConjugateBy(BraidWord(word.strands, letters(word.strands, 1, 3))))
+        move = rng.choice(options)
+        word = move.apply(word)
+        moves.append(move)
+    return rng.choice(("transversal", "topological")), initial, tuple(moves)
+
+
+def test_tower_validation_matches_states_reference():
+    """The streaming replay and the states-holding reference agree on
+    ok, counts and the problems in order."""
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(600):
+        mode, initial, moves = _random_tower(rng)
+        expected = reference_validate_tower(mode, initial, moves)
+        assert validate_tower(mode, initial, iter(moves)) == expected, (mode, initial, moves)
+        seen.update(code for code, _ in expected.problems)
+        seen.update(type(m).__name__ + str(getattr(m, "sign", "")) for m in moves)
+    assert {"illegal_move_for_mode", "bennequin_drift", "Destabilize-1", "Exchange"} <= seen
 
 
 def test_tower_json_roundtrip():
     w = parse_word("n=3 s1^2 s2 s1^-1 s2^-1")
-    tower = tower_from_moves(
-        w,
-        (Exchange((2, 4)), ConjugateBy(parse_word("n=3 s1^-1")), Stabilize(1)),
-        "transversal",
-    )
-    text = tower_to_json(tower)
-    rebuilt = tower_from_json(text)
-    assert rebuilt == tower
-    assert validate_tower(rebuilt).ok
+    moves = (Exchange((2, 4)), ConjugateBy(parse_word("n=3 s1^-1")), Stabilize(1))
+    text = tower_to_json("transversal", w, moves)
+    mode, initial, rebuilt = tower_from_json(text)
+    rebuilt = tuple(rebuilt)
+    assert (mode, initial, rebuilt) == ("transversal", w, moves)
+    assert tower_to_json(mode, initial, rebuilt) == text
+    assert validate_tower(*tower_from_json(text)).ok
 
 
 @given(braid_words(min_strands=2, max_strands=4, max_length=8), st.sampled_from((1, -1)))
