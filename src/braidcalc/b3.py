@@ -28,10 +28,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .burau import Laurent, burau_matrix, trace
-from .words import BraidWord, sigma_power
+from .words import BraidWord
 
 __all__ = [
     "B3NormalForm",
@@ -149,6 +149,19 @@ class B3NormalForm:
 def normal_form(word: BraidWord) -> B3NormalForm:
     """Normal form of a 3-strand word, computed on syllables.
 
+    >>> from .words import parse_word
+    >>> str(normal_form(parse_word("n=3 s1^3 s2^-2")))
+    'e=1; [X,Y,X,Y,X,Y2,X,Y2,X,Y2]'
+    """
+    if word.strands != 3:
+        raise ValueError(f"need exactly 3 strands, got {word.strands}")
+    return _syllable_normal_form((letter, len(list(group))) for letter, group in groupby(word.letters))
+
+
+def _syllable_normal_form(syllables: Iterable[tuple[tuple[int, int], int]]) -> B3NormalForm:
+    """Normal form of the 3-strand word given as (letter, power) syllables,
+    each power at least 1.
+
     A freely reduced word in the quotient alternates X with Y or Y2, so
     it is X^head Y^e1 X Y^e2 X ... X Y^en X^tail.  The exponents are
     held as runs of equal values.  Runs alternate between 1 and 2, so a
@@ -157,16 +170,10 @@ def normal_form(word: BraidWord) -> B3NormalForm:
     between them, Y^a Y^a becomes one letter Y^-a, and Y^a Y^-a cancels
     along with the X's around it, min(m, k) letters of each run in one
     step.  Cyclic reduction does the same at both ends of the list.
-
-    >>> str(normal_form(sigma_power(3, 1, 3) * sigma_power(3, 2, -2)))
-    'e=1; [X,Y,X,Y,X,Y2,X,Y2,X,Y2]'
     """
-    if word.strands != 3:
-        raise ValueError(f"need exactly 3 strands, got {word.strands}")
     runs: list[int] = []
     head = tail = top = esum = 0
-    for letter, group in groupby(word.letters):
-        k = len(list(group))
+    for letter, k in syllables:
         esum += letter[1] * k
         g0, b, g1 = _SYLLABLE_IMAGES[letter]
         if not runs:  # X^head X^g0
@@ -304,29 +311,23 @@ class GenericUnique:
 ClosureClass = Union[UnknotClass, TorusKnot2k, GenericUnique]
 
 
-def classify_closure(word: BraidWord) -> ClosureClass:
-    """Detect the exceptional 3-braid closure classes.
+def classify_closure(nf: B3NormalForm) -> ClosureClass:
+    """Detect the exceptional 3-braid closure classes from a normal form.
 
     The unknot has exactly three classes, s1^mu s2^tau for (mu, tau) in
-    {(1,1), (-1,-1), (1,-1)}; the (2,k) torus types are carried by
-    s1^k s2^mu with |k| >= 2.  Exponent sum pins the finitely many
-    candidates, so each test compares the word's normal form, computed
-    once, with a candidate's.  Everything else closes to a link with a
-    unique class.
+    {(1,1), (-1,-1), (1,-1)}, s1^-1 s2 being conjugate to s1 s2^-1; the
+    (2,k) torus types are carried by s1^k s2^mu with |k| >= 2.  Exponent
+    sum e pins the candidates to s1^(e-mu) s2^mu for mu = +-1, each
+    built as two syllables, never as letters.  Everything else closes
+    to a link with a unique class.
     """
-    nf = normal_form(word)
     e = nf.exponent_sum
-    for mu, tau in ((1, 1), (-1, -1), (1, -1)):
-        if mu + tau != e:
-            continue
-        if nf == normal_form(sigma_power(3, 1, mu) * sigma_power(3, 2, tau)):
-            return UnknotClass((mu, tau))
     for mu in (1, -1):
         k = e - mu
-        if abs(k) < 2:
-            continue
-        if nf == normal_form(sigma_power(3, 1, k) * sigma_power(3, 2, mu)):
-            return TorusKnot2k(k, mu)
+        if k and nf == _syllable_normal_form((((1, 1 if k > 0 else -1), abs(k)), ((2, mu), 1))):
+            if abs(k) >= 2:
+                return TorusKnot2k(k, mu)
+            return UnknotClass((k, mu) if k == mu else (1, -1))
     return GenericUnique()
 
 

@@ -18,8 +18,8 @@ from .b3 import (
     TorusKnot2k,
     UnknotClass,
     classify_closure,
-    conjugate_in_B3,
     kolee_both_signs,
+    normal_form,
 )
 from .links import alexander_polynomial
 from .templates import (
@@ -153,15 +153,15 @@ def certify(params: FamilyParams) -> CertificationReport:
     beta_plus = tx_plus.bennequin()
     beta_minus = tx_minus.bennequin()
     expected_beta = 2 * params.p + 2 * params.q + 2 * params.r - 3
-    class_plus = classify_closure(tx_plus)
-    class_minus = classify_closure(tx_minus)
+    nf_plus, nf_minus = normal_form(tx_plus), normal_form(tx_minus)
+    class_plus, class_minus = classify_closure(nf_plus), classify_closure(nf_minus)
     checks = CertificationChecks(
         conditions_ok=not violations,
         beta_plus=beta_plus,
         beta_minus=beta_minus,
         beta_formula_ok=beta_plus == expected_beta and beta_minus == expected_beta,
         alexander_equal=alexander_polynomial(tx_plus) == alexander_polynomial(tx_minus),
-        conjugacy_distinct=not conjugate_in_B3(tx_plus, tx_minus),
+        conjugacy_distinct=nf_plus != nf_minus,
         not_unknot=not isinstance(class_plus, UnknotClass)
         and not isinstance(class_minus, UnknotClass),
         not_torus=not isinstance(class_plus, TorusKnot2k)

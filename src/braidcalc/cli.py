@@ -129,7 +129,7 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
     word = _word_argument(args.word, args.n)
     if word.strands != 3:
         raise UsageError("classify requires a three-strand word")
-    result = classify_closure(word)
+    result = classify_closure(normal_form(word))
     if isinstance(result, UnknotClass):
         payload = {"class": "unknot", "tag": list(result.tag)}
         text = f"unknot tag=({result.tag[0]},{result.tag[1]})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 __all__ = [
@@ -86,7 +87,7 @@ class BraidWord:
     def __post_init__(self) -> None:
         if not 1 <= self.strands <= MAX_STRANDS:
             raise ValueError(f"strands must be in 1..{MAX_STRANDS}, got {self.strands}")
-        for index, sign in self.letters:
+        for index, sign in dict.fromkeys(self.letters):
             if not 1 <= index <= self.strands - 1:
                 raise ValueError(
                     f"generator index {index} out of range for {self.strands} strands"
@@ -216,15 +217,9 @@ def format_word(word: BraidWord) -> str:
     's1^3 s2^-1'
     """
     runs: list[str] = []
-    i = 0
-    letters = word.letters
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        power = (j - i) * letters[i][1]
-        runs.append(f"s{letters[i][0]}" + (f"^{power}" if power != 1 else ""))
-        i = j
-    inferred = max((i for i, _ in letters), default=0) + 1
+    for (index, sign), group in groupby(word.letters):
+        power = len(list(group)) * sign
+        runs.append(f"s{index}" + (f"^{power}" if power != 1 else ""))
+    inferred = max((i for i, _ in word.letters), default=0) + 1
     prefix = [f"n={word.strands}"] if word.strands != inferred else []
     return " ".join(prefix + runs)

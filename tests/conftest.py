@@ -4,7 +4,17 @@ from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
-from braidcalc.b3 import B3NormalForm, _cyclic_reduce_z2z3, _min_rotation, _reduce_z2z3
+from braidcalc.b3 import (
+    B3NormalForm,
+    ClosureClass,
+    GenericUnique,
+    TorusKnot2k,
+    UnknotClass,
+    _cyclic_reduce_z2z3,
+    _min_rotation,
+    _reduce_z2z3,
+    normal_form,
+)
 from braidcalc.burau import Laurent
 from braidcalc.moves import (
     Destabilize,
@@ -174,3 +184,23 @@ def letter_normal_form(word: BraidWord) -> B3NormalForm:
     """``b3.normal_form`` by the letter route."""
     cyc = _cyclic_reduce_z2z3(quotient_image(word).letters, "X", _Y_EXP)
     return B3NormalForm(word.exponent_sum(), _min_rotation(cyc))
+
+
+def reference_classify_closure(word: BraidWord) -> ClosureClass:
+    """``b3.classify_closure`` with every candidate built as letters and
+    put through ``normal_form``: the unknot candidates s1^mu s2^tau
+    first, then the torus candidates s1^k s2^mu."""
+    nf = normal_form(word)
+    e = nf.exponent_sum
+    for mu, tau in ((1, 1), (-1, -1), (1, -1)):
+        if mu + tau != e:
+            continue
+        if nf == normal_form(sigma_power(3, 1, mu) * sigma_power(3, 2, tau)):
+            return UnknotClass((mu, tau))
+    for mu in (1, -1):
+        k = e - mu
+        if abs(k) < 2:
+            continue
+        if nf == normal_form(sigma_power(3, 1, k) * sigma_power(3, 2, mu)):
+            return TorusKnot2k(k, mu)
+    return GenericUnique()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     braid_words_3,
     letter_normal_form,
     quotient_image,
+    reference_classify_closure,
 )
 
 DELTA_SQ = parse_word("n=3 s1 s2 s1 s2 s1 s2")
@@ -62,7 +64,7 @@ def test_quotient_requires_three_strands():
     with pytest.raises(ValueError):
         normal_form(parse_word("n=2 s1"))
     with pytest.raises(ValueError):
-        classify_closure(parse_word("n=4 s1"))
+        classify_closure(normal_form(parse_word("n=4 s1")))
 
 
 def test_normal_form_frozen():
@@ -122,25 +124,25 @@ def test_conjugate_in_B3_basic():
 
 
 def test_classify_unknots():
-    assert classify_closure(parse_word("n=3 s1 s2")) == UnknotClass((1, 1))
-    assert classify_closure(parse_word("n=3 s1^-1 s2^-1")) == UnknotClass((-1, -1))
-    assert classify_closure(parse_word("n=3 s1 s2^-1")) == UnknotClass((1, -1))
+    assert classify_closure(normal_form(parse_word("n=3 s1 s2"))) == UnknotClass((1, 1))
+    assert classify_closure(normal_form(parse_word("n=3 s1^-1 s2^-1"))) == UnknotClass((-1, -1))
+    assert classify_closure(normal_form(parse_word("n=3 s1 s2^-1"))) == UnknotClass((1, -1))
     # the remaining sign pattern is conjugate to (1, -1)
-    assert classify_closure(parse_word("n=3 s1^-1 s2")) == UnknotClass((1, -1))
+    assert classify_closure(normal_form(parse_word("n=3 s1^-1 s2"))) == UnknotClass((1, -1))
 
 
 def test_classify_torus():
-    assert classify_closure(parse_word("n=3 s1^5 s2")) == TorusKnot2k(5, 1)
+    assert classify_closure(normal_form(parse_word("n=3 s1^5 s2"))) == TorusKnot2k(5, 1)
     for k in list(range(2, 10)) + list(range(-9, -1)):
         for mu in (1, -1):
             w = sigma_power(3, 1, k) * sigma_power(3, 2, mu)
-            assert classify_closure(w) == TorusKnot2k(k, mu), (k, mu)
+            assert classify_closure(normal_form(w)) == TorusKnot2k(k, mu), (k, mu)
 
 
 def test_classify_generic():
-    assert classify_closure(TX_PLUS) == GenericUnique()
-    assert classify_closure(TX_MINUS) == GenericUnique()
-    assert classify_closure(parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")) == GenericUnique()
+    assert classify_closure(normal_form(TX_PLUS)) == GenericUnique()
+    assert classify_closure(normal_form(TX_MINUS)) == GenericUnique()
+    assert classify_closure(normal_form(parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1"))) == GenericUnique()
 
 
 def test_kolee_both_signs():
@@ -244,7 +246,46 @@ def test_normal_form_is_conjugation_invariant(w: BraidWord, g: BraidWord):
 
 @given(braid_words_3(max_length=6), braid_words_3(max_length=4))
 def test_classify_closure_is_conjugation_invariant(w: BraidWord, g: BraidWord):
-    assert classify_closure(w.conjugated_by(g)) == classify_closure(w)
+    assert classify_closure(normal_form(w.conjugated_by(g))) == classify_closure(normal_form(w))
+
+
+def _random_syllables(rng: random.Random, count: int) -> list[tuple[tuple[int, int], int]]:
+    return [
+        (rng.choice(_B3_LETTERS), rng.choice((rng.randint(1, 3), rng.randint(1, 400))))
+        for _ in range(count)
+    ]
+
+
+def _from_syllables(syllables: list[tuple[tuple[int, int], int]]) -> BraidWord:
+    return BraidWord(3, tuple(x for letter, k in syllables for x in (letter,) * k))
+
+
+def test_classify_closure_matches_letter_built_reference():
+    """Two-syllable candidates against candidates built as letters, on
+    seeded random syllable words of up to 400 letters a syllable: plain
+    words, words padded to an exponent sum in -2..2, and conjugates of
+    s1^k s2^mu, so that every exceptional class comes up."""
+    rng = random.Random(13)
+    seen = set()
+    for i in range(1500):
+        syllables = _random_syllables(rng, rng.randint(0, 6))
+        if i % 3 == 1:
+            gap = rng.randint(-2, 2) - sum(sign * k for (_, sign), k in syllables)
+            while gap:
+                k = min(abs(gap), 400)
+                syllables.append(((rng.choice((1, 2)), 1 if gap > 0 else -1), k))
+                gap -= k if gap > 0 else -k
+        word = _from_syllables(syllables)
+        if i % 3 == 2:
+            k = rng.choice((rng.randint(-4, 4), rng.randint(-400, 400)))
+            core = _from_syllables([((1, 1 if k > 0 else -1), abs(k)), ((2, rng.choice((1, -1))), 1)])
+            word = core.conjugated_by(word)
+        got = classify_closure(normal_form(word))
+        assert got == reference_classify_closure(word), str(word)
+        seen.add(got if isinstance(got, UnknotClass) else type(got))
+    assert seen == {
+        UnknotClass((1, 1)), UnknotClass((-1, -1)), UnknotClass((1, -1)), TorusKnot2k, GenericUnique
+    }
 
 
 @given(braid_words_3(max_length=8), braid_words_3(max_length=8))

@@ -84,6 +84,13 @@ def test_classify_verb(capsys):
     assert json.loads(out) == {"class": "torus", "k": -7, "mu": -1}
 
 
+def test_classify_at_the_letter_cap(capsys):
+    """The candidate classes are built as syllables, never as words one
+    letter longer than the input."""
+    for word in ("n=3 s1^1000000", "n=3 s1^-1000000"):
+        assert run_cli(capsys, "classify", word) == (0, "generic unique\n", "")
+
+
 def test_flype_verb(capsys):
     code, out, _ = run_cli(
         capsys, "flype", "--sign", "-1", "--P", "s1^3", "--R", "s1^4", "--Q", "s1^-5"

@@ -36,6 +36,14 @@ def test_parse_rejections():
         BraidWord(3, ((1, 2),))
 
 
+def test_first_bad_letter_is_named():
+    """Each distinct letter is checked once, in first-occurrence order."""
+    with pytest.raises(ValueError, match="generator index 5 out of range for 3 strands"):
+        BraidWord(3, ((1, 1), (5, 1), (1, 1), (2, 7), (5, 1)))
+    with pytest.raises(ValueError, match=r"sign must be \+-1, got 7"):
+        BraidWord(3, ((1, 1), (2, 7), (1, 1), (5, 1)))
+
+
 def test_format_collects_powers():
     assert format_word(W) == "s1^3 s2^4 s1^-5 s2^-1"
     assert format_word(parse_word("n=4 s1")) == "n=4 s1"
