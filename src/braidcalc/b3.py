@@ -432,8 +432,8 @@ _BATTERY_FUNCTIONS: dict[str, Callable[[BraidWord], object]] = {
 
 
 @lru_cache(maxsize=16384)
-def _battery_key(name: str, strands: int, letters: tuple[tuple[int, int], ...]) -> object:
-    return _BATTERY_FUNCTIONS[name](BraidWord(strands, letters))
+def _battery_key(name: str, letters: tuple[tuple[int, int], ...]) -> object:
+    return _BATTERY_FUNCTIONS[name](BraidWord(3, letters))
 
 
 _FP_PRIME = 2**61 - 1
@@ -521,7 +521,7 @@ def brute_force_conjugacy_oracle(
     for name in invariant_batteries:
         if name not in _BATTERY_FUNCTIONS:
             raise ValueError(f"unknown battery {name!r}")
-        if _battery_key(name, 3, w1.letters) != _battery_key(name, 3, w2.letters):
+        if _battery_key(name, w1.letters) != _battery_key(name, w2.letters):
             return NotConjugate(name)
     target = _fp_of_word(w2.letters)
     ball = _conjugation_ball(w1.letters, conjugator_bound)

@@ -363,7 +363,7 @@ def burau_matrix(word: BraidWord) -> Matrix:
     """
     m = word.strands - 1
     syllables = [
-        (index, sign, sum(1 for _ in run)) for (index, sign), run in groupby(word.letters)
+        (index, sign, len(list(run))) for (index, sign), run in groupby(word.letters)
     ]
     cols = [[_ONE if i == j else _ZERO for i in range(m)] for j in range(m)]
     start = 0

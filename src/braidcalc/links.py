@@ -1,14 +1,17 @@
 """Invariants of the closure link of a braid word.
 
 Components are the cycles of the underlying permutation, labelled by
-their starting strand positions.  A single sweep down the word attributes
-each crossing either to one component's self-writhe or to a pair's mixed
-crossing count; mixed counts are always even and halve to linking
-numbers.
+their starting strand positions.  A single sweep down the word moves the
+strands and sums crossing signs per pair of strands.  Which component a
+strand belongs to is known only once the sweep has ended, so the pair
+sums are then folded into each component's self-writhe or a component
+pair's mixed crossing count; mixed counts are always even and halve to
+linking numbers.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .burau import Laurent, burau_matrix, determinant, trace
@@ -53,22 +56,40 @@ class LinkingMatrix:
 
 
 def _sweep(word: BraidWord) -> tuple[tuple[tuple[int, ...], ...], list[int], dict[tuple[int, int], int]]:
-    """Attribute every crossing to a component or a component pair."""
-    cycles = word.permutation().cycles()
-    comp_of = {strand: k for k, cyc in enumerate(cycles) for strand in cyc}
-    occupant = list(range(1, word.strands + 1))
-    self_writhe = [0] * len(cycles)
-    mixed: dict[tuple[int, int], int] = {}
+    """Attribute every crossing to a component or a component pair.
+
+    The one pass over the letters keeps at most n(n-1)/2 pair sums.  The
+    final positions give each strand's image; each cycle starts at its
+    smallest strand and the cycles are sorted by it.
+    """
+    occupant = list(range(1, word.strands + 1))  # occupant[p - 1] = strand at p
+    pair_sign: dict[tuple[int, int], int] = defaultdict(int)
     for index, sign in word.letters:
         a, b = occupant[index - 1], occupant[index]
+        pair_sign[(a, b) if a < b else (b, a)] += sign
+        occupant[index - 1], occupant[index] = b, a
+    image = dict(zip(occupant, range(1, word.strands + 1)))
+    comp_of: dict[int, int] = {}
+    cycles: list[tuple[int, ...]] = []
+    for start in range(1, word.strands + 1):
+        cyc: list[int] = []
+        strand = start
+        while strand not in comp_of:
+            comp_of[strand] = len(cycles)
+            cyc.append(strand)
+            strand = image[strand]
+        if cyc:
+            cycles.append(tuple(cyc))
+    self_writhe = [0] * len(cycles)
+    mixed: dict[tuple[int, int], int] = {}
+    for (a, b), total in pair_sign.items():
         ca, cb = comp_of[a], comp_of[b]
         if ca == cb:
-            self_writhe[ca] += sign
+            self_writhe[ca] += total
         else:
             key = (ca, cb) if ca < cb else (cb, ca)
-            mixed[key] = mixed.get(key, 0) + sign
-        occupant[index - 1], occupant[index] = b, a
-    return cycles, self_writhe, mixed
+            mixed[key] = mixed.get(key, 0) + total
+    return tuple(cycles), self_writhe, mixed
 
 
 def components(word: BraidWord) -> tuple[ComponentInvariants, ...]:

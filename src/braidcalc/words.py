@@ -16,7 +16,6 @@ from typing import Iterator
 
 __all__ = [
     "BraidWord",
-    "StrandPermutation",
     "parse_word",
     "format_word",
     "sigma_power",
@@ -32,49 +31,6 @@ MAX_LETTERS = 1_000_000
 # output grow with its square: at 500 strands one letter's JSON report
 # peaks at about 150 MB, at 1 000 at about 530 MB.
 MAX_STRANDS = 500
-
-
-@dataclass(frozen=True, order=True)
-class StrandPermutation:
-    """Permutation of strand positions, 1-indexed.
-
-    ``images[k]`` is where position ``k + 1`` is sent.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    def apply(self, position: int) -> int:
-        return self.images[position - 1]
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition including fixed points.
-
-        Each cycle starts at its smallest member; cycles are sorted by
-        that member.  The cycles are the closure components of any braid
-        with this permutation.
-
-        >>> StrandPermutation((1, 3, 2)).cycles()
-        ((1,), (2, 3))
-        """
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            k = self.apply(start)
-            while k != start:
-                cyc.append(k)
-                seen.add(k)
-                k = self.apply(k)
-            out.append(tuple(cyc))
-        return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -137,16 +93,6 @@ class BraidWord:
     def bennequin(self) -> int:
         """Self-linking number of the closure: exponent sum minus strands."""
         return self.exponent_sum() - self.strands
-
-    def permutation(self) -> StrandPermutation:
-        """Underlying permutation: starting position -> ending position."""
-        occupant = list(range(1, self.strands + 1))  # occupant[p-1] = strand at p
-        for index, _ in self.letters:
-            occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
-        images = [0] * self.strands
-        for pos, strand in enumerate(occupant, start=1):
-            images[strand - 1] = pos
-        return StrandPermutation(tuple(images))
 
 
 def _common_strands(left: BraidWord, right: BraidWord) -> int:

@@ -16,6 +16,7 @@ from braidcalc.b3 import (
     normal_form,
 )
 from braidcalc.burau import Laurent
+from braidcalc.links import ComponentInvariants, LinkingMatrix, components
 from braidcalc.moves import (
     Destabilize,
     Exchange,
@@ -204,3 +205,81 @@ def reference_classify_closure(word: BraidWord) -> ClosureClass:
         if nf == normal_form(sigma_power(3, 1, k) * sigma_power(3, 2, mu)):
             return TorusKnot2k(k, mu)
     return GenericUnique()
+
+
+# The two-walk route to the closure components, kept as an independent
+# reference for the one-walk ``links._sweep``: one walk for the strand
+# permutation, its cycle decomposition, then a second walk that assigns
+# each crossing to a component or a component pair.
+
+
+def reference_permutation(word: BraidWord) -> tuple[int, ...]:
+    """``images[k]`` is the end position of the strand that starts at k + 1."""
+    occupant = list(range(1, word.strands + 1))  # occupant[p-1] = strand at p
+    for index, _ in word.letters:
+        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
+    images = [0] * word.strands
+    for pos, strand in enumerate(occupant, start=1):
+        images[strand - 1] = pos
+    return tuple(images)
+
+
+def permutation_cycles(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles including fixed points, each from its smallest member,
+    sorted by that member."""
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        k = images[start - 1]
+        while k != start:
+            cyc.append(k)
+            seen.add(k)
+            k = images[k - 1]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def images_from_cycles(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The permutation with these cycles: each member goes to the next."""
+    images = [0] * sum(map(len, cycles))
+    for cyc in cycles:
+        for k, strand in enumerate(cyc):
+            images[strand - 1] = cyc[(k + 1) % len(cyc)]
+    return tuple(images)
+
+
+def component_permutation(word: BraidWord) -> tuple[int, ...]:
+    """The strand permutation read back from ``links.components``."""
+    return images_from_cycles(tuple(c.members for c in components(word)))
+
+
+def reference_components(
+    word: BraidWord,
+) -> tuple[tuple[ComponentInvariants, ...], LinkingMatrix]:
+    """``links.components`` and ``links.linking_matrix`` by two walks."""
+    cycles = permutation_cycles(reference_permutation(word))
+    comp_of = {strand: k for k, cyc in enumerate(cycles) for strand in cyc}
+    occupant = list(range(1, word.strands + 1))
+    self_writhe = [0] * len(cycles)
+    mixed = [[0] * len(cycles) for _ in cycles]
+    for index, sign in word.letters:
+        a, b = occupant[index - 1], occupant[index]
+        ca, cb = comp_of[a], comp_of[b]
+        if ca == cb:
+            self_writhe[ca] += sign
+        else:
+            mixed[ca][cb] += sign
+            mixed[cb][ca] += sign
+        occupant[index - 1], occupant[index] = b, a
+    for row in mixed:
+        assert all(count % 2 == 0 for count in row)
+    comps = tuple(
+        ComponentInvariants(cyc, len(cyc), e, e - len(cyc))
+        for cyc, e in zip(cycles, self_writhe)
+    )
+    entries = tuple(tuple(count // 2 for count in row) for row in mixed)
+    return comps, LinkingMatrix(cycles, entries)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 
 from braidcalc.burau import Laurent, burau_matrix, determinant
 from braidcalc.links import alexander_polynomial, components, linking_matrix
-from braidcalc.words import BraidWord, parse_word
+from braidcalc.words import MAX_STRANDS, BraidWord, parse_word
 
-from conftest import braid_words, laurent
+from conftest import braid_words, laurent, reference_components
 
 W_PLUS = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
 W_MINUS = parse_word("n=3 s1^3 s2^-1 s1^-5 s2^4")
@@ -64,6 +65,41 @@ def test_alexander_conjugation_and_mirror():
     w = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
     g = parse_word("n=3 s2 s1")
     assert alexander_polynomial(w.conjugated_by(g)) == alexander_polynomial(w)
+
+
+def _random_word(rng: random.Random, strands: int, syllables: int, power: int) -> BraidWord:
+    letters = []
+    for _ in range(syllables if strands > 1 else 0):
+        k = rng.randint(-power, power) or 1
+        letters += [(rng.randint(1, strands - 1), 1 if k > 0 else -1)] * abs(k)
+    return BraidWord(strands, tuple(letters))
+
+
+def test_components_match_two_walk_reference():
+    """Seeded words on 1-12 strands, short letters and longer syllables,
+    and words at the strand cap: a 500-cycle, its inverse, a staircase of
+    odd powers and random letters."""
+    rng = random.Random(14)
+    cases = [
+        _random_word(rng, rng.randint(1, 12), rng.randint(0, 60), rng.choice((1, 4)))
+        for _ in range(1500)
+    ]
+    cycle = parse_word(f"n={MAX_STRANDS} " + " ".join(f"s{i}" for i in range(1, MAX_STRANDS)))
+    cases += [
+        BraidWord(MAX_STRANDS),
+        cycle,
+        cycle.inverse(),
+        parse_word(" ".join(f"s{i}^{(-1) ** i * 3}" for i in range(1, MAX_STRANDS))),
+        _random_word(rng, MAX_STRANDS, 3000, 3),
+    ]
+    seen_link = seen_long_cycle = False
+    for w in cases:
+        comps, lm = reference_components(w)
+        assert components(w) == comps, w
+        assert linking_matrix(w) == lm, w
+        seen_link |= any(x != 0 for row in lm.entries for x in row)
+        seen_long_cycle |= any(c.strand_count >= 3 for c in comps)
+    assert seen_link and seen_long_cycle
 
 
 @given(braid_words(min_strands=2, max_strands=4, max_length=10))

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 
 import braidcalc.words as words
-from braidcalc.words import BraidWord, StrandPermutation, format_word, parse_word, sigma_power
+from braidcalc.links import components
+from braidcalc.words import BraidWord, format_word, parse_word, sigma_power
 
-from conftest import braid_words
+from conftest import braid_words, component_permutation
 
 W = parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1")
 
@@ -65,10 +66,10 @@ def test_exponent_sum_and_bennequin_frozen():
 
 
 def test_permutation_frozen():
-    assert W.permutation() == StrandPermutation((1, 3, 2))
-    assert W.permutation().cycles() == ((1,), (2, 3))
+    assert component_permutation(W) == (1, 3, 2)
+    assert [c.members for c in components(W)] == [(1,), (2, 3)]
     w2 = parse_word("n=3 s1^3 s2^-1 s1^-5 s2^4")
-    assert w2.permutation().cycles() == ((1, 3), (2,))
+    assert [c.members for c in components(w2)] == [(1, 3), (2,)]
 
 
 def test_free_reduction():
@@ -121,7 +122,7 @@ def test_letter_cap(monkeypatch):
 def test_strand_cap():
     """Strand counts past the cap are refused before any list of that
     length is built, from the constructor, a prefix or an override."""
-    assert BraidWord(words.MAX_STRANDS).permutation().cycles()[-1] == (words.MAX_STRANDS,)
+    assert components(BraidWord(words.MAX_STRANDS))[-1].members == (words.MAX_STRANDS,)
     for strands in (words.MAX_STRANDS + 1, 10**9, 10**100):
         message = f"strands must be in 1..{words.MAX_STRANDS}, got {strands}"
         with pytest.raises(ValueError, match=message):
@@ -153,13 +154,13 @@ def test_free_reduced_idempotent(w: BraidWord):
     r = w.free_reduced()
     assert r.free_reduced() == r
     assert r.exponent_sum() == w.exponent_sum()
-    assert r.permutation() == w.permutation()
+    assert [c.members for c in components(r)] == [c.members for c in components(w)]
 
 
 @given(braid_words(min_strands=4, max_strands=4), braid_words(min_strands=4, max_strands=4))
 def test_permutation_is_a_homomorphism(w: BraidWord, v: BraidWord):
-    first, then = w.permutation().images, v.permutation().images
-    assert (w * v).permutation().images == tuple(then[i - 1] for i in first)
+    first, then = component_permutation(w), component_permutation(v)
+    assert component_permutation(w * v) == tuple(then[i - 1] for i in first)
 
 
 @given(braid_words())
