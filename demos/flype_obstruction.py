@@ -11,7 +11,6 @@ the swap obstructs it.
 from braidcalc.words import parse_word
 from braidcalc.links import alexander_polynomial
 from braidcalc.templates import (
-    BraidingAssignment,
     component_correspondence,
     flype_template,
     instantiate,
@@ -22,13 +21,11 @@ template = flype_template(sign=-1)
 
 # fill the three blocks with twist regions; the middle block R rides
 # through the flype rotated half a turn
-assignment = BraidingAssignment.from_mapping(
-    {
-        "P": parse_word("n=2 s1^3"),
-        "R": parse_word("n=2 s1^4"),
-        "Q": parse_word("n=2 s1^-5"),
-    }
-)
+assignment = {
+    "P": parse_word("n=2 s1^3"),
+    "R": parse_word("n=2 s1^4"),
+    "Q": parse_word("n=2 s1^-5"),
+}
 
 before = instantiate(template.plus, assignment)
 after = instantiate(template.minus, assignment)

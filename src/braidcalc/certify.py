@@ -22,12 +22,7 @@ from .b3 import (
     normal_form,
 )
 from .links import alexander_polynomial
-from .templates import (
-    BraidingAssignment,
-    flype_template,
-    instantiate,
-    per_component_beta_delta,
-)
+from .templates import flype_template, instantiate, per_component_beta_delta
 from .words import BraidWord, format_word, parse_word, sigma_power
 
 VERDICT_CERTIFIED = "CERTIFIED_NOT_TRANSVERSALLY_SIMPLE"
@@ -111,15 +106,13 @@ class CertificationReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def family_assignment(params: FamilyParams) -> BraidingAssignment:
+def family_assignment(params: FamilyParams) -> Dict[str, BraidWord]:
     """Braiding assignment putting the family's twist regions in the blocks."""
-    return BraidingAssignment.from_mapping(
-        {
-            "P": sigma_power(2, 1, 2 * params.p + 1),
-            "R": sigma_power(2, 1, 2 * params.q),
-            "Q": sigma_power(2, 1, 2 * params.r),
-        }
-    )
+    return {
+        "P": sigma_power(2, 1, 2 * params.p + 1),
+        "R": sigma_power(2, 1, 2 * params.q),
+        "Q": sigma_power(2, 1, 2 * params.r),
+    }
 
 
 def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
@@ -133,9 +126,7 @@ def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
 @functools.cache
 def _obstruction_checks() -> ObstructionChecks:
     template = flype_template(-1)
-    assignment = BraidingAssignment.from_mapping(
-        {bid: parse_word(text) for bid, text in OBSTRUCTION_ASSIGNMENT}
-    )
+    assignment = {bid: parse_word(text) for bid, text in OBSTRUCTION_ASSIGNMENT}
     table = tuple(per_component_beta_delta(template, assignment))
     swap = any(bp != bm for _, bp, bm in table)
     return ObstructionChecks(OBSTRUCTION_ASSIGNMENT, table, swap)

@@ -14,8 +14,6 @@ from .certify import FamilyParams, certify, report_lines, report_to_dict, sweep
 from .links import components, linking_matrix
 from .moves import tower_from_json, validate_tower
 from .templates import (
-    BraidingAssignment,
-    InconsistentCorrespondence,
     flype_template,
     instantiate,
     parse_template_description,
@@ -42,13 +40,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _word_argument(text: str, strands: Optional[int]) -> BraidWord:
-    try:
-        word = parse_word(text)
-        if strands is not None:
-            word = BraidWord(strands, word.letters)
-        return word
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    word = parse_word(text)
+    if strands is not None:
+        word = BraidWord(strands, word.letters)
+    return word
 
 
 def _resolve_format(args: argparse.Namespace) -> str:
@@ -142,26 +137,17 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
 
 
 def _cmd_flype(args: argparse.Namespace) -> Result:
-    try:
-        if args.desc is not None:
-            with open(args.desc, "r", encoding="utf-8") as handle:
-                template, assignment = parse_template_description(handle.read())
-        else:
-            missing = [flag for flag in ("P", "R", "Q") if getattr(args, flag) is None]
-            if missing:
-                raise UsageError(f"flype needs --{missing[0]} (or --desc FILE)")
-            template = flype_template(args.sign)
-            assignment = BraidingAssignment.from_mapping(
-                {
-                    "P": _word_argument(args.P, None),
-                    "R": _word_argument(args.R, None),
-                    "Q": _word_argument(args.Q, None),
-                }
-            )
-        plus = instantiate(template.plus, assignment)
-        minus = instantiate(template.minus, assignment)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.desc is not None:
+        with open(args.desc, "r", encoding="utf-8") as handle:
+            template, assignment = parse_template_description(handle.read())
+    else:
+        missing = [flag for flag in ("P", "R", "Q") if getattr(args, flag) is None]
+        if missing:
+            raise UsageError(f"flype needs --{missing[0]} (or --desc FILE)")
+        template = flype_template(args.sign)
+        assignment = {flag: parse_word(getattr(args, flag)) for flag in ("P", "R", "Q")}
+    plus = instantiate(template.plus, assignment)
+    minus = instantiate(template.minus, assignment)
     table = per_component_beta_delta(template, assignment)
     payload = {
         "plus": format_word(plus),
@@ -200,10 +186,7 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_certify(args: argparse.Namespace) -> Result:
-    try:
-        report = certify(FamilyParams(args.p, args.q, args.r))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = certify(FamilyParams(args.p, args.q, args.r))
     code = EXIT_OK if report.certified else EXIT_CHECK_FAILED
     return code, report_to_dict(report), report_lines(report)
 
@@ -214,10 +197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> Result:
     r_max = args.r_max if args.r_max is not None else args.max
     if None in (p_max, q_max, r_max):
         raise UsageError("sweep needs --max (or all of --p-max/--q-max/--r-max)")
-    try:
-        reports = sweep(p_max, q_max, r_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    reports = sweep(p_max, q_max, r_max)
     lines = [
         f"p={r.params.p} q={r.params.q} r={r.params.r} "
         f"beta={r.checks.beta_plus} verdict={r.verdict}"
@@ -311,11 +291,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         return code
-    except InconsistentCorrespondence as exc:
-        # a modeling error in the template, not bad input
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
-    except (UsageError, OSError) as exc:
+    # bad input, whether the CLI or a library call finds it, is one line and exit 2
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

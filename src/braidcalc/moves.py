@@ -37,8 +37,6 @@ __all__ = [
     "Exchange",
     "Move",
     "MoveError",
-    "NotDestabilizable",
-    "InvalidSplit",
     "FoliationCounts",
     "TowerValidation",
     "validate_tower",
@@ -49,14 +47,6 @@ __all__ = [
 
 class MoveError(ValueError):
     """A move does not apply to the word it was asked to act on."""
-
-
-class NotDestabilizable(MoveError):
-    pass
-
-
-class InvalidSplit(MoveError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,12 +72,12 @@ class Destabilize:
         letter, the one starting just after it, so replays are exact.
         """
         if word.strands < 2:
-            raise NotDestabilizable("no strand to remove")
+            raise MoveError("no strand to remove")
         top = word.strands - 1
         letters = word.free_reduced().letters
         uses = [k for k, (i, _) in enumerate(letters) if i == top]
         if len(uses) != 1 or letters[uses[0]][1] != self.sign:
-            raise NotDestabilizable(
+            raise MoveError(
                 f"last generator must occur exactly once with sign {self.sign}"
             )
         k = uses[0]
@@ -124,14 +114,14 @@ class Exchange:
         i, j = self.split
         top = word.strands - 1
         if not (0 <= i < j == len(word.letters) - 1):
-            raise InvalidSplit(f"split {self.split} out of range for length {len(word.letters)}")
+            raise MoveError(f"split {self.split} out of range for length {len(word.letters)}")
         li, lj = word.letters[i], word.letters[j]
         if li[0] != top or lj[0] != top or li[1] != -lj[1]:
-            raise InvalidSplit("split positions must hold opposite last-generator letters")
+            raise MoveError("split positions must hold opposite last-generator letters")
         between = word.letters[i + 1 : j]
         before = word.letters[:i]
         if any(idx == top for idx, _ in before + between):
-            raise InvalidSplit("interior segments may not use the last generator")
+            raise MoveError("interior segments may not use the last generator")
         flipped = (
             before + ((top, -li[1]),) + between + ((top, li[1]),)
         )

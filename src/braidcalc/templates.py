@@ -4,6 +4,9 @@ A template is a pair of skeletons sharing a set of named blocks.  Filling
 every block with a concrete braid word produces two closed-braid words
 that present the same oriented link; the port bookkeeping then matches
 closure components of one side with closure components of the other.
+An assignment is a plain mapping from block id to its ``BraidWord``.
+Every failure, from a malformed skeleton to ports that do not glue, is a
+``TemplateError``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
+from . import words
 from .links import ComponentInvariants, components
 from .words import MAX_STRANDS, BraidWord, parse_word
 
@@ -21,26 +25,7 @@ PORT_ROTATED = "rotated"
 
 
 class TemplateError(ValueError):
-    """Base class for template construction and instantiation failures."""
-
-
-class MissingAssignment(TemplateError):
-    """A skeleton block has no assigned braiding."""
-
-
-class WidthMismatch(TemplateError):
-    """An assigned word's strand count differs from its block's width."""
-
-
-class WeightConstraintViolation(TemplateError):
-    """A built-in template's weight constraints are violated."""
-
-
-class InconsistentCorrespondence(TemplateError):
-    """Port pairings do not glue into a bijection of closure components.
-
-    This signals a modeling error in the template itself, not bad input.
-    """
+    """A template, or its instantiation, is malformed."""
 
 
 @dataclass(frozen=True)
@@ -114,31 +99,6 @@ class BlockSkeleton:
 
 
 @dataclass(frozen=True)
-class BraidingAssignment:
-    """A map from block id to the braid word filling that block."""
-
-    words: Tuple[Tuple[str, BraidWord], ...]
-
-    def __post_init__(self) -> None:
-        ids = [bid for bid, _ in self.words]
-        if len(set(ids)) != len(ids):
-            raise TemplateError("duplicate block id in assignment")
-        for bid, word in self.words:
-            if not isinstance(word, BraidWord):
-                raise TemplateError(f"assignment for {bid!r} is not a BraidWord")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, BraidWord]) -> "BraidingAssignment":
-        return cls(tuple(sorted(mapping.items())))
-
-    def word_for(self, block_id: str) -> BraidWord:
-        for bid, word in self.words:
-            if bid == block_id:
-                return word
-        raise MissingAssignment(f"no braiding assigned to block {block_id!r}")
-
-
-@dataclass(frozen=True)
 class Template:
     """A plus/minus skeleton pair over one block set, plus the port map.
 
@@ -172,34 +132,50 @@ class Template:
         return {s.block_id: s.width for s in self.plus.block_slots()}
 
 
-def instantiate(sk: BlockSkeleton, a: BraidingAssignment) -> BraidWord:
+def _block_word(a: Mapping[str, BraidWord], slot: BlockSlot) -> BraidWord:
+    if slot.block_id not in a:
+        raise TemplateError(f"no braiding assigned to block {slot.block_id!r}")
+    word = a[slot.block_id]
+    if not isinstance(word, BraidWord):
+        raise TemplateError(f"assignment for {slot.block_id!r} is not a BraidWord")
+    if word.strands != slot.width:
+        raise TemplateError(
+            f"block {slot.block_id!r} has width {slot.width}, "
+            f"assigned word has {word.strands} strands"
+        )
+    return word
+
+
+def instantiate(sk: BlockSkeleton, a: Mapping[str, BraidWord]) -> BraidWord:
     """Fill every block of `sk` with its assigned word.
 
     Block letters have their generator indices shifted by the block's
-    start position minus one; fixed crossings are kept in order.
+    start position minus one; fixed crossings are kept in order.  A word
+    of more than ``words.MAX_LETTERS`` letters is refused before any
+    letter is built.
     """
+    fills = {slot.block_id: _block_word(a, slot) for slot in sk.block_slots()}
+    length = len(sk.items) - len(fills) + sum(map(len, fills.values()))
+    if length > words.MAX_LETTERS:
+        raise TemplateError(
+            f"instantiating gives {length} letters, more than {words.MAX_LETTERS}"
+        )
     letters: List[Tuple[int, int]] = []
     for item in sk.items:
         if isinstance(item, Crossing):
             letters.append((item.index, item.sign))
             continue
-        word = a.word_for(item.block_id)
-        if word.strands != item.width:
-            raise WidthMismatch(
-                f"block {item.block_id!r} has width {item.width}, "
-                f"assigned word has {word.strands} strands"
-            )
         shift = item.start_position - 1
-        letters.extend((index + shift, sign) for index, sign in word.letters)
+        letters.extend((index + shift, sign) for index, sign in fills[item.block_id].letters)
     return BraidWord(sk.strands, tuple(letters))
 
 
 def _check_weight(kind: str, weight: int) -> None:
     """A weight-w template has w + 2 strands, checked before any is built."""
     if weight < 1:
-        raise WeightConstraintViolation(f"{kind} weight must be >= 1")
+        raise TemplateError(f"{kind} weight must be >= 1")
     if weight + 2 > MAX_STRANDS:
-        raise WeightConstraintViolation(
+        raise TemplateError(
             f"{kind} weight {weight} needs more than {MAX_STRANDS} strands"
         )
 
@@ -257,7 +233,7 @@ CONSTRUCTORS = {
 
 
 def _port_components(
-    sk: BlockSkeleton, a: BraidingAssignment
+    sk: BlockSkeleton, a: Mapping[str, BraidWord]
 ) -> Tuple[List[ComponentInvariants], Dict[Tuple[str, str, int], int]]:
     """The closure components of `sk` filled by `a`, and the component
     through each block port.
@@ -278,7 +254,7 @@ def _port_components(
         start, width = item.start_position, item.width
         for j in range(1, width + 1):
             ports[(item.block_id, "in", j)] = comp_of[occupants[start + j - 1]]
-        for index, _ in a.word_for(item.block_id).letters:
+        for index, _ in a[item.block_id].letters:
             p = start - 1 + index
             occupants[p], occupants[p + 1] = occupants[p + 1], occupants[p]
         for j in range(1, width + 1):
@@ -287,7 +263,7 @@ def _port_components(
 
 
 def _correspondence(
-    t: Template, a: BraidingAssignment
+    t: Template, a: Mapping[str, BraidWord]
 ) -> Tuple[Dict[int, int], List[ComponentInvariants], List[ComponentInvariants]]:
     comps_plus, ports_plus = _port_components(t.plus, a)
     comps_minus, ports_minus = _port_components(t.minus, a)
@@ -305,18 +281,18 @@ def _correspondence(
                 cp = ports_plus[(block_id, side, j)]
                 cm = ports_minus[partner]
                 if forward.setdefault(cp, cm) != cm or backward.setdefault(cm, cp) != cp:
-                    raise InconsistentCorrespondence(
+                    raise TemplateError(
                         f"port ({block_id}, {side}, {j}) pairs component {cp} "
                         f"with {cm}, conflicting with earlier ports"
                     )
     plus_ids = {comp.members[0] for comp in comps_plus}
     minus_ids = {comp.members[0] for comp in comps_minus}
     if set(forward) != plus_ids or set(backward) != minus_ids:
-        raise InconsistentCorrespondence("a closure component touches no block port")
+        raise TemplateError("a closure component touches no block port")
     return forward, comps_plus, comps_minus
 
 
-def component_correspondence(t: Template, a: BraidingAssignment) -> Dict[int, int]:
+def component_correspondence(t: Template, a: Mapping[str, BraidWord]) -> Dict[int, int]:
     """Match closure components of the plus side with the minus side.
 
     Each block port marks one component on each side; the pairings from
@@ -327,7 +303,7 @@ def component_correspondence(t: Template, a: BraidingAssignment) -> Dict[int, in
 
 
 def per_component_beta_delta(
-    t: Template, a: BraidingAssignment
+    t: Template, a: Mapping[str, BraidWord]
 ) -> List[Tuple[int, int, int]]:
     """Table of (plus component id, self-linking plus, self-linking minus).
 
@@ -344,7 +320,7 @@ def per_component_beta_delta(
     ]
 
 
-def parse_template_description(text: str) -> Tuple[Template, BraidingAssignment]:
+def parse_template_description(text: str) -> Tuple[Template, Dict[str, BraidWord]]:
     """Parse a JSON description into (template, assignment).
 
     The document is an object with a "kind" name, a "params" object of
@@ -369,10 +345,8 @@ def parse_template_description(text: str) -> Tuple[Template, BraidingAssignment]
         inspect.signature(build).bind(**params)
     except TypeError as exc:
         raise TemplateError(f"bad params for {name}: {exc}") from None
-    words = payload.get("assignment", {})
-    if not isinstance(words, dict) or not all(isinstance(w, str) for w in words.values()):
+    texts = payload.get("assignment", {})
+    if not isinstance(texts, dict) or not all(isinstance(w, str) for w in texts.values()):
         raise TemplateError("assignment must map block ids to word strings")
-    assignment = BraidingAssignment.from_mapping(
-        {bid: parse_word(word) for bid, word in words.items()}
-    )
+    assignment = {bid: parse_word(word) for bid, word in texts.items()}
     return build(**params), assignment

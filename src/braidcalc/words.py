@@ -21,8 +21,9 @@ __all__ = [
     "sigma_power",
 ]
 
-# The most letters parse_word or sigma_power builds into one word.  It is
-# checked before the letters are allocated, so that a huge exponent is a
+# The most letters parse_word, sigma_power, moves.ConjugateBy or
+# templates.instantiate builds into one word.  Each checks it at call
+# time, before the letters are allocated, so that a huge exponent is a
 # ValueError and not an OverflowError or MemoryError.
 MAX_LETTERS = 1_000_000
 

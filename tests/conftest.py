@@ -21,8 +21,8 @@ from braidcalc.moves import (
     Destabilize,
     Exchange,
     FoliationCounts,
-    InvalidSplit,
     Move,
+    MoveError,
     Stabilize,
     TowerValidation,
 )
@@ -50,7 +50,7 @@ def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:
     for i in range(j):
         try:
             Exchange((i, j)).apply(word)
-        except InvalidSplit:
+        except MoveError:
             continue
         out.append((i, j))
     return tuple(out)

@@ -79,13 +79,11 @@ def test_family_sweep_certifies_every_admissible_triple(capsys):
 
 def test_link_obstruction_table_is_exact():
     template = tmpl.flype_template(sign=-1)
-    assignment = tmpl.BraidingAssignment.from_mapping(
-        {
-            "P": parse_word("n=2 s1^3"),
-            "R": parse_word("n=2 s1^4"),
-            "Q": parse_word("n=2 s1^-5"),
-        }
-    )
+    assignment = {
+        "P": parse_word("n=2 s1^3"),
+        "R": parse_word("n=2 s1^4"),
+        "Q": parse_word("n=2 s1^-5"),
+    }
     table = tmpl.per_component_beta_delta(template, assignment)
     assert table == [(1, -1, -3), (2, -3, -1)]
 
@@ -201,12 +199,11 @@ BUILTIN_TEMPLATES = (
 )
 
 
-def random_assignment(rng: random.Random, template: tmpl.Template) -> tmpl.BraidingAssignment:
-    mapping = {
+def random_assignment(rng: random.Random, template: tmpl.Template) -> dict[str, BraidWord]:
+    return {
         block_id: random_word(rng, width, rng.randint(0, 6))
         for block_id, width in sorted(template.block_widths().items())
     }
-    return tmpl.BraidingAssignment.from_mapping(mapping)
 
 
 @pytest.mark.parametrize(

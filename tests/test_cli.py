@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidcalc.cli as cli
 from braidcalc.cli import main
 from braidcalc.moves import ConjugateBy, Stabilize, tower_to_json
 from braidcalc.words import parse_word
@@ -347,6 +348,16 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
             ["sweep", "--max", "1000000"], {},
             "sweep bounds must be <= 24", id="sweep-past-cap",
         ),
+        pytest.param(
+            ["flype", "--P", "s1^1000000", "--R", "s1^1000000", "--Q", "s1^1000000"], {},
+            "instantiating gives 3000001 letters, more than 1000000",
+            id="flype-past-letter-cap",
+        ),
+        pytest.param(
+            ["certify", "--p", "400000", "--q", "400002", "--r", "400001"], {},
+            "instantiating gives 2400008 letters, more than 1000000",
+            id="certify-past-letter-cap",
+        ),
     ],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):
@@ -357,6 +368,14 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv, files, message):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_library_value_error_is_one_error_line(capsys, monkeypatch):
+    def fail(word):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "components", fail)
+    assert run_cli(capsys, "components", "s1") == (2, "", "error: boom\n")
 
 
 def test_certify_exit_codes(capsys):

@@ -13,9 +13,7 @@ from braidcalc.moves import (
     Destabilize,
     Exchange,
     FoliationCounts,
-    InvalidSplit,
     MoveError,
-    NotDestabilizable,
     Stabilize,
     tower_from_json,
     tower_to_json,
@@ -39,7 +37,7 @@ def test_stabilize():
 def test_destabilize_direct():
     w = parse_word("n=3 s1^3 s2")
     assert Destabilize(1).apply(w) == parse_word("n=2 s1^3")
-    with pytest.raises(NotDestabilizable):
+    with pytest.raises(MoveError, match="last generator must occur exactly once with sign -1"):
         Destabilize(-1).apply(w)
 
 
@@ -48,7 +46,7 @@ def test_destabilize_searches_rotations():
     w = parse_word("n=3 s1 s2 s1^2")
     assert Destabilize(1).apply(w) == parse_word("n=2 s1^2 s1")
     # two uses of the last generator: not a destabilization
-    with pytest.raises(NotDestabilizable):
+    with pytest.raises(MoveError, match="last generator must occur exactly once with sign 1"):
         Destabilize(1).apply(parse_word("n=3 s2 s1 s2"))
 
 
@@ -64,7 +62,9 @@ def test_destabilize_is_the_rotation_ending_in_the_letter(w: BraidWord, sign: in
         if (letters[k:] + letters[:k])[-1] == last
     ]
     if sum(i == w.strands - 1 for i, _ in letters) != 1 or not ending:
-        with pytest.raises(NotDestabilizable):
+        with pytest.raises(
+            MoveError, match=f"last generator must occur exactly once with sign {sign}"
+        ):
             Destabilize(sign).apply(w)
     else:
         assert Destabilize(sign).apply(w) == BraidWord(w.strands - 1, ending[0][:-1])
@@ -112,15 +112,16 @@ def test_exchange_frozen():
 
 def test_exchange_rejections():
     w = parse_word("n=3 s1^2 s2 s1^-1 s2^-1")
-    with pytest.raises(InvalidSplit):
+    opposite = "split positions must hold opposite last-generator letters"
+    with pytest.raises(MoveError, match=opposite):
         Exchange((0, 4)).apply(w)  # position 0 is not a last-generator letter
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(MoveError, match=r"split \(2, 3\) out of range for length 5"):
         Exchange((2, 3)).apply(w)  # j must be final
     same_sign = parse_word("n=3 s1 s2 s1 s2")
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(MoveError, match=opposite):
         Exchange((1, 3)).apply(same_sign)
     nested = parse_word("n=3 s2 s2 s1 s2^-1")
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(MoveError, match="interior segments may not use the last generator"):
         Exchange((0, 3)).apply(nested)  # interior uses the last generator
 
 

@@ -2,19 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidcalc.words as words
+from braidcalc.certify import FamilyParams, certify
 from braidcalc.links import alexander_polynomial, components
 from braidcalc.templates import (
     BlockSkeleton,
     BlockSlot,
-    BraidingAssignment,
     CONSTRUCTORS,
     Crossing,
-    InconsistentCorrespondence,
-    MissingAssignment,
     Template,
     TemplateError,
-    WeightConstraintViolation,
-    WidthMismatch,
     component_correspondence,
     destabilize_template,
     exchange_template,
@@ -27,18 +24,8 @@ from braidcalc.words import MAX_STRANDS, BraidWord, format_word, parse_word
 
 FLYPE_NEG = flype_template(-1)
 
-LINK_ASSIGNMENT = BraidingAssignment.from_mapping(
-    {"P": parse_word("s1^3"), "R": parse_word("s1^4"), "Q": parse_word("s1^-5")}
-)
-FAMILY_ASSIGNMENT = BraidingAssignment.from_mapping(
-    {"P": parse_word("s1^5"), "R": parse_word("s1^6"), "Q": parse_word("s1^8")}
-)
-
-
-def assignment_for(template, words):
-    return BraidingAssignment.from_mapping(
-        {bid: words[bid] for bid in template.block_widths()}
-    )
+LINK_ASSIGNMENT = {"P": parse_word("s1^3"), "R": parse_word("s1^4"), "Q": parse_word("s1^-5")}
+FAMILY_ASSIGNMENT = {"P": parse_word("s1^5"), "R": parse_word("s1^6"), "Q": parse_word("s1^8")}
 
 
 def test_flype_instantiation_frozen():
@@ -49,48 +36,58 @@ def test_flype_instantiation_frozen():
 
 
 def test_empty_assignment_keeps_fixed_crossings_only():
-    empty = BraidingAssignment.from_mapping(
-        {bid: BraidWord(2, ()) for bid in ("P", "Q", "R")}
-    )
+    empty = {bid: BraidWord(2, ()) for bid in ("P", "Q", "R")}
     assert instantiate(FLYPE_NEG.plus, empty) == BraidWord(3, ((2, -1),))
     assert instantiate(FLYPE_NEG.minus, empty) == BraidWord(3, ((2, -1),))
 
 
 def test_instantiate_errors():
-    with pytest.raises(MissingAssignment):
-        instantiate(FLYPE_NEG.plus, BraidingAssignment.from_mapping({"P": parse_word("s1")}))
-    wrong_width = BraidingAssignment.from_mapping(
-        {"P": parse_word("n=3 s1 s2"), "Q": parse_word("s1"), "R": parse_word("s1")}
-    )
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(TemplateError, match="no braiding assigned to block 'R'"):
+        instantiate(FLYPE_NEG.plus, {"P": parse_word("s1")})
+    wrong_width = {"P": parse_word("n=3 s1 s2"), "Q": parse_word("s1"), "R": parse_word("s1")}
+    with pytest.raises(TemplateError, match="block 'P' has width 2, assigned word has 3 strands"):
         instantiate(FLYPE_NEG.plus, wrong_width)
+    with pytest.raises(TemplateError, match="assignment for 'P' is not a BraidWord"):
+        instantiate(FLYPE_NEG.plus, dict(LINK_ASSIGNMENT, P="s1^3"))
+
+
+def test_instantiate_letter_cap(monkeypatch):
+    """A filled template of more than MAX_LETTERS letters is refused before
+    it is built, and so is a family word that certify would build."""
+    monkeypatch.setattr(words, "MAX_LETTERS", 10)
+    # three blocks of three letters and one fixed crossing
+    a = {bid: parse_word("s1^3") for bid in ("P", "Q", "R")}
+    assert len(instantiate(FLYPE_NEG.plus, a)) == 10
+    a["Q"] = parse_word("s1^4")
+    with pytest.raises(TemplateError, match="instantiating gives 11 letters, more than 10"):
+        instantiate(FLYPE_NEG.minus, a)
+    with pytest.raises(ValueError, match="instantiating gives 20 letters, more than 10"):
+        certify(FamilyParams(2, 3, 4))
 
 
 def test_destabilize_template_shapes():
     t = destabilize_template(1)
-    a = BraidingAssignment.from_mapping({"P": parse_word("s1^3")})
+    a = {"P": parse_word("s1^3")}
     assert instantiate(t.plus, a) == parse_word("n=3 s1^3 s2")
     assert instantiate(t.minus, a) == parse_word("s1^3")
 
     # weight 2: the cable block spans three strands, the loop a fourth
     t2 = destabilize_template(-1, weight=2)
-    a2 = BraidingAssignment.from_mapping({"P": parse_word("n=3 s1 s2^2")})
+    a2 = {"P": parse_word("n=3 s1 s2^2")}
     assert instantiate(t2.plus, a2) == parse_word("n=4 s1 s2^2 s3^-1")
     assert instantiate(t2.minus, a2) == parse_word("n=3 s1 s2^2")
 
 
 def test_exchange_template_weight_one_matches_word_form():
     t = exchange_template(1)
-    a = BraidingAssignment.from_mapping({"P": parse_word("s1^2"), "Q": parse_word("s1^-3")})
+    a = {"P": parse_word("s1^2"), "Q": parse_word("s1^-3")}
     assert instantiate(t.plus, a) == parse_word("n=3 s1^2 s2 s1^-3 s2^-1")
     assert instantiate(t.minus, a) == parse_word("n=3 s1^2 s2^-1 s1^-3 s2")
 
 
 def test_exchange_template_weight_two_bands():
     t = exchange_template(2)
-    a = BraidingAssignment.from_mapping(
-        {"P": parse_word("n=3 s1 s2"), "Q": parse_word("s1^2")}
-    )
+    a = {"P": parse_word("n=3 s1 s2"), "Q": parse_word("s1^2")}
     assert instantiate(t.plus, a) == parse_word("n=4 s1 s2 s3 s2 s1^2 s2^-1 s3^-1")
     assert instantiate(t.minus, a) == parse_word("n=4 s1 s2 s3^-1 s2^-1 s1^2 s2 s3")
 
@@ -110,14 +107,14 @@ def test_skeleton_validation():
             BlockSkeleton(3, (BlockSlot("Q", 1, 2),)),
             (("P", "fixed"),),
         )
-    with pytest.raises(WeightConstraintViolation):
+    with pytest.raises(TemplateError, match="exchange weight must be >= 1"):
         exchange_template(0)
     # a weight-w template has w + 2 strands, refused before any is built
     assert exchange_template(MAX_STRANDS - 2).plus.strands == MAX_STRANDS
     too_wide = f"exchange weight {MAX_STRANDS - 1} needs more"
-    with pytest.raises(WeightConstraintViolation, match=too_wide):
+    with pytest.raises(TemplateError, match=too_wide):
         exchange_template(MAX_STRANDS - 1)
-    with pytest.raises(WeightConstraintViolation, match="destabilization weight 10"):
+    with pytest.raises(TemplateError, match="destabilization weight 10"):
         destabilize_template(1, 10**9)
     with pytest.raises(TemplateError):
         destabilize_template(2)
@@ -137,7 +134,7 @@ def test_family_knot_single_component_table():
 
 def test_exchange_identity_assignment_zero_deltas():
     t = exchange_template(1)
-    a = BraidingAssignment.from_mapping({"P": BraidWord(2, ()), "Q": BraidWord(2, ())})
+    a = {"P": BraidWord(2, ()), "Q": BraidWord(2, ())}
     assert per_component_beta_delta(t, a) == [(1, -1, -1), (2, -1, -1), (3, -1, -1)]
 
 
@@ -150,7 +147,7 @@ def test_correspondence_is_a_bijection():
 def test_identity_port_map_on_middle_block_is_inconsistent():
     broken = Template(FLYPE_NEG.plus, FLYPE_NEG.minus,
                       (("P", "fixed"), ("Q", "fixed"), ("R", "fixed")))
-    with pytest.raises(InconsistentCorrespondence):
+    with pytest.raises(TemplateError, match="conflicting with earlier ports"):
         component_correspondence(broken, LINK_ASSIGNMENT)
 
 
@@ -195,9 +192,7 @@ def template_cases(draw):
         )
     )
     template = CONSTRUCTORS[name](**params)
-    assignment = BraidingAssignment.from_mapping(
-        {bid: draw(words_on(w)) for bid, w in template.block_widths().items()}
-    )
+    assignment = {bid: draw(words_on(w)) for bid, w in template.block_widths().items()}
     return name, params, template, assignment
 
 
