@@ -438,22 +438,14 @@ def _battery_key(name: str, letters: tuple[tuple[int, int], ...]) -> object:
 
 _FP_PRIME = 2**61 - 1
 _FP_T = 1_048_573
-
-
-def _fp_generator_tables() -> tuple[dict, dict]:
-    p, t = _FP_PRIME, _FP_T
-    tinv = pow(t, -1, p)
-    gens = {
-        (1, 1): ((1 - t) % p, t % p, 1, 0),
-        (1, -1): (0, 1, tinv, (1 - tinv) % p),
-        (2, 1): (1, p - 1, 0, (-t) % p),
-        (2, -1): (1, (-tinv) % p, 0, (-tinv) % p),
-    }
-    inverses = {letter: gens[(letter[0], -letter[1])] for letter in gens}
-    return gens, inverses
-
-
-_FP_GENS, _FP_INVS = _fp_generator_tables()
+_FP_TINV = pow(_FP_T, -1, _FP_PRIME)
+# in the order the conjugator search tries them
+_FP_GENS: dict[tuple[int, int], tuple[int, int, int, int]] = {
+    (1, 1): ((1 - _FP_T) % _FP_PRIME, _FP_T, 1, 0),
+    (1, -1): (0, 1, _FP_TINV, (1 - _FP_TINV) % _FP_PRIME),
+    (2, 1): (1, _FP_PRIME - 1, 0, (-_FP_T) % _FP_PRIME),
+    (2, -1): (1, (-_FP_TINV) % _FP_PRIME, 0, (-_FP_TINV) % _FP_PRIME),
+}
 
 
 def _fp_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -473,32 +465,37 @@ def _fp_of_word(letters: tuple[tuple[int, int], ...]) -> tuple[int, int, int, in
     return m
 
 
+# perfbench/spans.py reads this cache's cache_info(), so it keeps its name and lru_cache
 @lru_cache(maxsize=16)
 def _conjugation_ball(
-    letters: tuple[tuple[int, int], ...], bound: int
-) -> dict[tuple[int, int, int, int], list[tuple[tuple[int, int], ...]]]:
-    """Fingerprint index of g w g^-1 over all reduced conjugators |g| <= bound.
+    w1: tuple[tuple[int, int], ...], w2: tuple[tuple[int, int], ...], bound: int
+) -> BraidWord | None:
+    """The first reduced conjugator g, |g| <= bound, with g w1 g^-1 = w2,
+    or None once the whole ball is walked.
 
-    Keys are Burau matrices mod a 61-bit prime at a fixed t; values list
-    the conjugators (breadth-first, so shortest first).  Children extend
-    g on the left, which costs one conjugation of the parent's matrix.
+    The walk is breadth first, so g is a shortest one.  Each node's
+    fingerprint, its Burau matrix mod a 61-bit prime at a fixed t, is
+    compared with w2's, and a match is confirmed by exact Burau equality
+    (faithful on three strands).  Children extend g on the left, which
+    costs one conjugation of the parent's matrix.  The root g = () is
+    always checked, so a negative bound acts as 0.
     """
-    base = _fp_of_word(letters)
-    index: dict[tuple[int, int, int, int], list[tuple[tuple[int, int], ...]]] = {}
-    index[base] = [()]
-    frontier: list[tuple[tuple[tuple[int, int], ...], tuple[int, int, int, int]]] = [((), base)]
-    for _ in range(bound):
-        next_frontier = []
-        for g_letters, matrix in frontier:
-            for gen in ((1, 1), (1, -1), (2, 1), (2, -1)):
-                if g_letters and g_letters[0] == (gen[0], -gen[1]):
-                    continue
-                child_letters = (gen,) + g_letters
-                child_matrix = _fp_mul(_FP_GENS[gen], _fp_mul(matrix, _FP_INVS[gen]))
-                index.setdefault(child_matrix, []).append(child_letters)
-                next_frontier.append((child_letters, child_matrix))
-        frontier = next_frontier
-    return index
+    word = BraidWord(3, w1)
+    target = _fp_of_word(w2)
+    expected = burau_matrix(BraidWord(3, w2))
+    queue = deque([((), _fp_of_word(w1))])
+    while queue:
+        g_letters, matrix = queue.popleft()
+        if matrix == target:
+            g = BraidWord(3, g_letters)
+            if burau_matrix(word.conjugated_by(g)) == expected:
+                return g
+        if len(g_letters) < bound:
+            for (i, s), gen in _FP_GENS.items():
+                if not g_letters or g_letters[0] != (i, -s):
+                    child = _fp_mul(gen, _fp_mul(matrix, _FP_GENS[(i, -s)]))
+                    queue.append((((i, s),) + g_letters, child))
+    return None
 
 
 def brute_force_conjugacy_oracle(
@@ -511,10 +508,11 @@ def brute_force_conjugacy_oracle(
 
     Runs the invariant batteries in order and reports ``NotConjugate``
     naming the first one that separates the words.  Otherwise searches
-    all freely reduced conjugators up to the length bound; a fingerprint
-    hit is confirmed by exact Burau-matrix equality (faithful on three
-    strands), so a returned certificate is always valid.  ``Unresolved``
-    means the bounded search ended without a certificate.
+    the freely reduced conjugators up to the length bound, shortest
+    first, and stops at the first one verified; a fingerprint hit is
+    confirmed by exact Burau-matrix equality (faithful on three strands),
+    so a returned certificate is always valid.  ``Unresolved`` means the
+    bounded search ended without a certificate.
     """
     if w1.strands != 3 or w2.strands != 3:
         raise ValueError("oracle works on 3-strand words only")
@@ -523,11 +521,5 @@ def brute_force_conjugacy_oracle(
             raise ValueError(f"unknown battery {name!r}")
         if _battery_key(name, w1.letters) != _battery_key(name, w2.letters):
             return NotConjugate(name)
-    target = _fp_of_word(w2.letters)
-    ball = _conjugation_ball(w1.letters, conjugator_bound)
-    expected = burau_matrix(w2)
-    for g_letters in ball.get(target, ()):
-        g = BraidWord(3, g_letters)
-        if burau_matrix(w1.conjugated_by(g)) == expected:
-            return Conjugate(g)
-    return Unresolved()
+    g = _conjugation_ball(w1.letters, w2.letters, conjugator_bound)
+    return Unresolved() if g is None else Conjugate(g)

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Tuple, Union
 
 from . import words
 from .links import ComponentInvariants, components
-from .words import MAX_STRANDS, BraidWord, parse_word
+from .words import BraidWord, parse_word
 
 PORT_FIXED = "fixed"
 PORT_ROTATED = "rotated"
@@ -174,9 +174,9 @@ def _check_weight(kind: str, weight: int) -> None:
     """A weight-w template has w + 2 strands, checked before any is built."""
     if weight < 1:
         raise TemplateError(f"{kind} weight must be >= 1")
-    if weight + 2 > MAX_STRANDS:
+    if weight + 2 > words.MAX_STRANDS:
         raise TemplateError(
-            f"{kind} weight {weight} needs more than {MAX_STRANDS} strands"
+            f"{kind} weight {weight} needs more than {words.MAX_STRANDS} strands"
         )
 
 

@@ -1,21 +1,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from braidcalc.b3 import (
+    _BATTERY_FUNCTIONS,
+    _FP_GENS,
+    DEFAULT_BATTERIES,
     B3NormalForm,
     ClosureClass,
+    Conjugate,
     GenericUnique,
+    NotConjugate,
+    OracleOutcome,
     TorusKnot2k,
     UnknotClass,
+    Unresolved,
+    _battery_key,
     _cyclic_reduce_z2z3,
+    _fp_mul,
+    _fp_of_word,
     _min_rotation,
     _reduce_z2z3,
     normal_form,
 )
-from braidcalc.burau import Laurent
+from braidcalc.burau import Laurent, burau_matrix
 from braidcalc.links import ComponentInvariants, LinkingMatrix, components
 from braidcalc.moves import (
     Destabilize,
@@ -283,3 +294,78 @@ def reference_components(
     )
     entries = tuple(tuple(count // 2 for count in row) for row in mixed)
     return comps, LinkingMatrix(cycles, entries)
+
+
+def reduced_corpus(max_len: int) -> tuple[BraidWord, ...]:
+    """Freely reduced three-strand words up to the given length."""
+    gens = ((1, 1), (1, -1), (2, 1), (2, -1))
+    words = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        grown = []
+        for w in frontier:
+            for g in gens:
+                if w and w[-1] == (g[0], -g[1]):
+                    continue
+                grown.append(w + (g,))
+        words.extend(grown)
+        frontier = grown
+    return tuple(BraidWord(3, w) for w in words)
+
+
+# The full-ball route of the conjugator search, kept as a reference for
+# the early-stopping ``b3.brute_force_conjugacy_oracle``: index every
+# conjugator of the ball by fingerprint first, then look w2's up.
+
+
+@lru_cache(maxsize=16)
+def _reference_ball(
+    letters: tuple[tuple[int, int], ...], bound: int
+) -> dict[tuple[int, int, int, int], list[tuple[tuple[int, int], ...]]]:
+    """Fingerprint index of g w g^-1 over all reduced conjugators |g| <= bound.
+
+    Keys are Burau matrices mod a 61-bit prime at a fixed t; values list
+    the conjugators (breadth-first, so shortest first).  Children extend
+    g on the left, which costs one conjugation of the parent's matrix.
+    """
+    base = _fp_of_word(letters)
+    index: dict[tuple[int, int, int, int], list[tuple[tuple[int, int], ...]]] = {}
+    index[base] = [()]
+    frontier: list[tuple[tuple[tuple[int, int], ...], tuple[int, int, int, int]]] = [((), base)]
+    for _ in range(bound):
+        next_frontier = []
+        for g_letters, matrix in frontier:
+            for gen in ((1, 1), (1, -1), (2, 1), (2, -1)):
+                if g_letters and g_letters[0] == (gen[0], -gen[1]):
+                    continue
+                child_letters = (gen,) + g_letters
+                inverse = _FP_GENS[(gen[0], -gen[1])]
+                child_matrix = _fp_mul(_FP_GENS[gen], _fp_mul(matrix, inverse))
+                index.setdefault(child_matrix, []).append(child_letters)
+                next_frontier.append((child_letters, child_matrix))
+        frontier = next_frontier
+    return index
+
+
+def reference_conjugacy_oracle(
+    w1: BraidWord,
+    w2: BraidWord,
+    conjugator_bound: int = 6,
+    invariant_batteries: tuple[str, ...] = DEFAULT_BATTERIES,
+) -> OracleOutcome:
+    """``b3.brute_force_conjugacy_oracle`` by the full fingerprint index."""
+    if w1.strands != 3 or w2.strands != 3:
+        raise ValueError("oracle works on 3-strand words only")
+    for name in invariant_batteries:
+        if name not in _BATTERY_FUNCTIONS:
+            raise ValueError(f"unknown battery {name!r}")
+        if _battery_key(name, w1.letters) != _battery_key(name, w2.letters):
+            return NotConjugate(name)
+    target = _fp_of_word(w2.letters)
+    ball = _reference_ball(w1.letters, conjugator_bound)
+    expected = burau_matrix(w2)
+    for g_letters in ball.get(target, ()):
+        g = BraidWord(3, g_letters)
+        if burau_matrix(w1.conjugated_by(g)) == expected:
+            return Conjugate(g)
+    return Unresolved()

@@ -32,7 +32,7 @@ from braidcalc.cli import main
 from braidcalc.links import alexander_polynomial, components, linking_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
-from conftest import find_exchange_splits
+from conftest import find_exchange_splits, reduced_corpus
 
 
 def admissible_triples(bound: int) -> list[tuple[int, int, int]]:
@@ -86,23 +86,6 @@ def test_link_obstruction_table_is_exact():
     }
     table = tmpl.per_component_beta_delta(template, assignment)
     assert table == [(1, -1, -3), (2, -3, -1)]
-
-
-def reduced_corpus(max_len: int) -> tuple[BraidWord, ...]:
-    """Freely reduced three-strand words up to the given length."""
-    gens = ((1, 1), (1, -1), (2, 1), (2, -1))
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        grown = []
-        for w in frontier:
-            for g in gens:
-                if w and w[-1] == (g[0], -g[1]):
-                    continue
-                grown.append(w + (g,))
-        words.extend(grown)
-        frontier = grown
-    return tuple(BraidWord(3, w) for w in words)
 
 
 def test_conjugacy_matches_oracle_on_sampled_pairs():

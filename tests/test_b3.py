@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc import b3
 from braidcalc.b3 import (
     B3NormalForm,
     Conjugate,
@@ -35,7 +37,9 @@ from conftest import (
     braid_words_3,
     letter_normal_form,
     quotient_image,
+    reduced_corpus,
     reference_classify_closure,
+    reference_conjugacy_oracle,
 )
 
 DELTA_SQ = parse_word("n=3 s1 s2 s1 s2 s1 s2")
@@ -195,6 +199,57 @@ def test_unresolved_is_honest_for_central_pair():
         DELTA_SQ, BraidWord(3, ()), conjugator_bound=3, invariant_batteries=("psl2z_class",)
     )
     assert out == Unresolved()
+
+
+def test_oracle_stops_at_first_verified_conjugator(monkeypatch):
+    """A conjugator of length one is found without walking the ball."""
+    calls = 0
+    fp_mul = b3._fp_mul
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return fp_mul(x, y)
+
+    monkeypatch.setattr(b3, "_fp_mul", counting)
+    b3._conjugation_ball.cache_clear()
+    out = brute_force_conjugacy_oracle(
+        parse_word("n=3 s1 s2^2"), parse_word("n=3 s2 s1 s2 s2 s2^-1")
+    )
+    assert out == Conjugate(parse_word("n=3 s2"))
+    assert calls < 100
+
+
+def test_oracle_matches_full_ball_reference():
+    """Same outcome type, conjugator letters and witness as the full-ball
+    oracle: planted pairs g w g^-1 with |g| <= 3 (g = () included), random
+    corpus pairs, and pairs of equal exponent sum under that battery
+    alone, which mostly walk the whole ball to ``Unresolved``."""
+    corpus = reduced_corpus(6)
+    short = [g for g in corpus if len(g) <= 3]
+    by_sum: dict[int, list[BraidWord]] = {}
+    for w in corpus:
+        by_sum.setdefault(w.exponent_sum(), []).append(w)
+    rng = random.Random(16)
+    seen = Counter()
+    for k in range(1200):
+        bound = (-1, 0, 3, 6)[k % 4]
+        w1 = rng.choice(corpus)
+        batteries = b3.DEFAULT_BATTERIES
+        if k % 3 == 0:
+            w2 = w1.conjugated_by(rng.choice(short))
+        elif k % 3 == 1:
+            w2 = rng.choice(corpus)
+        else:
+            batteries = ("exponent_sum",)
+            w2 = rng.choice(by_sum[w1.exponent_sum()])
+        args = (w1, w2, bound, batteries)
+        out = brute_force_conjugacy_oracle(*args)
+        assert out == reference_conjugacy_oracle(*args), args
+        seen[type(out).__name__, bound] += 1
+    for bound in (-1, 0, 3, 6):
+        assert seen["Conjugate", bound] and seen["Unresolved", bound], seen
+    assert seen["NotConjugate", 6], seen
 
 
 def test_psl2z_class_frozen():

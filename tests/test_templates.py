@@ -65,6 +65,14 @@ def test_instantiate_letter_cap(monkeypatch):
         certify(FamilyParams(2, 3, 4))
 
 
+def test_template_strand_cap(monkeypatch):
+    """The weight check reads words.MAX_STRANDS when it runs."""
+    monkeypatch.setattr(words, "MAX_STRANDS", 10)
+    assert exchange_template(weight=8).plus.strands == 10
+    with pytest.raises(TemplateError, match="exchange weight 9 needs more than 10 strands"):
+        exchange_template(weight=9)
+
+
 def test_destabilize_template_shapes():
     t = destabilize_template(1)
     a = {"P": parse_word("s1^3")}
