@@ -10,8 +10,9 @@ reduced word, with single-letter words compared inside their finite
 factor.
 
 ``normal_form`` works on syllables, not letters: the image of s_i^k is
-a run of k repeated two-letter blocks, so free reduction, cyclic
-reduction and the least rotation are arithmetic on run lengths, and a
+a run of k repeated two-letter blocks, so free reduction is arithmetic
+on run lengths, cyclic reduction is that same rule on runs moved from
+front to back, and the least rotation is found on pairs of runs.  A
 word's cost is one scan for its syllables plus work per syllable.
 
 The brute-force oracle at the bottom audits the normal-form route by a
@@ -75,27 +76,6 @@ def _reduce_z2z3(letters: tuple[str, ...], two: str, y_exp: dict[str, int]) -> t
         else:
             stack.append(letter)
     return tuple(stack)
-
-
-def _cyclic_reduce_z2z3(letters: tuple[str, ...], two: str, y_exp: dict[str, int]) -> tuple[str, ...]:
-    by_exp = {v: k for k, v in y_exp.items()}
-    # the cyclic word is w[head:]; both ends are trimmed in place
-    w = list(letters)
-    head = 0
-    while len(w) - head >= 2:
-        first, last = w[head], w[-1]
-        if first == two and last == two:
-            head += 1
-            w.pop()
-        elif first != two and last != two:
-            total = (y_exp[last] + y_exp[first]) % 3
-            head += 1
-            w.pop()
-            if total:
-                w.append(by_exp[total])
-        else:
-            break
-    return tuple(w[head:])
 
 
 def _min_rotation(letters: tuple[str, ...]) -> tuple[str, ...]:
@@ -166,99 +146,90 @@ def _syllable_normal_form(syllables: Iterable[tuple[tuple[int, int], int]]) -> B
     it is X^head Y^e1 X Y^e2 X ... X Y^en X^tail.  The exponents are
     held as runs of equal values.  Runs alternate between 1 and 2, so a
     run is stored as its length, with the last run's exponent beside
-    the list.  Each syllable is one run.  Where two runs meet with no X
+    the deque.  Each syllable is one run.  Where two runs meet with no X
     between them, Y^a Y^a becomes one letter Y^-a, and Y^a Y^-a cancels
     along with the X's around it, min(m, k) letters of each run in one
-    step.  Cyclic reduction does the same at both ends of the list.
+    step.
+
+    Cyclic reduction is conjugation followed by the same rule: while the
+    ends meet (head == tail) and the word is longer than one Y letter,
+    its first run, or its only run's first letter, moves to the back and
+    is pushed like a syllable.  Each move cancels or merges Y letters;
+    the ends meet again only when a whole run cancelled, which leaves
+    one run fewer, so there is at most one move per run.
     """
-    runs: list[int] = []
+    runs: deque[int] = deque()
     head = tail = top = esum = 0
+    items: list[tuple[int, int, int, int]] = []
     for letter, k in syllables:
         esum += letter[1] * k
-        g0, b, g1 = _SYLLABLE_IMAGES[letter]
-        if not runs:  # X^head X^g0
-            head ^= g0
-        elif tail == g0:  # the word's last Y letter meets the syllable's first
-            if top != b:  # Y^a Y^-a: cancel, with the X's between
-                m = runs.pop()
-                if m > k:
-                    runs.append(m - k)
-                    tail = 1 ^ g1
-                    continue
-                k -= m
-                top = b  # the run below has the other exponent
-                if not k:  # an X, or X^head, meets X^g1
-                    if runs:
+        items.append((*_SYLLABLE_IMAGES[letter], k))
+    while True:
+        for g0, b, g1, k in items:
+            if not runs:  # X^head X^g0
+                head ^= g0
+            elif tail == g0:  # the word's last Y letter meets the syllable's first
+                if top != b:  # Y^a Y^-a: cancel, with the X's between
+                    m = runs.pop()
+                    if m > k:
+                        runs.append(m - k)
                         tail = 1 ^ g1
+                        continue
+                    k -= m
+                    top = b  # the run below has the other exponent
+                    if not k:  # an X, or X^head, meets X^g1
+                        if runs:
+                            tail = 1 ^ g1
+                        else:
+                            head = tail = head ^ g1
+                        continue
+                    if not runs:
+                        head ^= 1
+                if runs:  # Y^b Y^b = Y^-b
+                    m = runs.pop() - 1
+                    if m:
+                        runs += (m, 1)
+                    elif runs:
+                        runs[-1] += 1
                     else:
-                        head = tail = head ^ g1
-                    continue
-                if not runs:
-                    head ^= 1
-            if runs:  # Y^b Y^b = Y^-b
-                m = runs.pop() - 1
-                if m:
-                    runs += (m, 1)
-                elif runs:
-                    runs[-1] += 1
+                        runs.append(1)
+                    top = 3 - b
+                    k -= 1
+            if k:
+                if runs and top == b:
+                    runs[-1] += k
                 else:
-                    runs.append(1)
-                top = 3 - b
-                k -= 1
-        if k:
-            if runs and top == b:
-                runs[-1] += k
-            else:
-                runs.append(k)
-            top = b
-        tail = g1
+                    runs.append(k)
+                top = b
+            tail = g1
+        if head != tail or not runs or runs[0] == 1 == len(runs):
+            break
+        # move X^head (Y^first X)^m from the front to the back
+        first = top if len(runs) % 2 else 3 - top
+        if len(runs) > 1:
+            m = runs.popleft()
+        else:
+            m = 1
+            runs[0] -= 1
+        items = [(head, first, 1, m)]
+        head = 0
     return B3NormalForm(esum, _least_cyclic_word(runs, head, tail, top))
 
 
-def _least_cyclic_word(stack: list[int], head: int, tail: int, top: int) -> tuple[str, ...]:
-    """Cyclically reduce X^head stack X^tail, a run stack of
-    ``normal_form``, and rotate it to its least letter word.
+def _least_cyclic_word(runs: deque[int], head: int, tail: int, top: int) -> tuple[str, ...]:
+    """Least letter word of X^head runs X^tail, cyclically reduced by
+    ``_syllable_normal_form``.
 
-    When head == tail the first and last Y letters meet: the X's at the
-    two ends cancel, or there are none.  A cyclically reduced word of
-    two or more letters is X Y^e1 X Y^e2 ... X Y^en, and its least
-    rotation (X < Y < Y2) is the least rotation of its exponents.  Read
-    them as pairs of runs 1^a 2^b and key each pair (-a, b): a longer
-    run of 1s, or an equal one followed by a shorter run of 2s, is less
-    letter by letter, so ``_min_rotation`` on the keys finds it.
+    With head == tail the word is empty, X, or one Y letter.  Otherwise
+    it is a rotation of X Y^e1 X Y^e2 ... X Y^en, whose least rotation
+    (X < Y < Y2) is the least rotation of its exponents.  Read them as
+    pairs of runs 1^a 2^b and key each pair (-a, b): a longer run of 1s,
+    or an equal one followed by a shorter run of 2s, is less letter by
+    letter, so ``_min_rotation`` on the keys finds it.
     """
-    if not stack:
-        return ("X",) if head else ()
-    runs = deque(stack)
-    first = top if len(runs) % 2 else 3 - top
     if head == tail:
-        while first != top and len(runs) > 1:  # Y^a Y^-a: cancel
-            m = min(runs[0], runs[-1])
-            runs[0] -= m
-            runs[-1] -= m
-            if not runs[-1]:
-                runs.pop()
-                top = 3 - top
-            if runs and not runs[0]:
-                runs.popleft()
-                first = 3 - first
-        if not runs:
-            return ("X",)
-        if len(runs) == 1 and runs[0] == 1:
-            return ("Y" if top == 1 else "Y2",)
-        # Y^a Y^a = Y^-a, as the last letter
-        runs[0] -= 1
-        m = runs.pop() - 1
-        if m:
-            runs += (m, 1)
-        elif runs:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-        top = 3 - top
-        if not runs[0]:
-            runs.popleft()
-            first = 3 - first
+        return ("Y" if top == 1 else "Y2",) if runs else ("X",) * head
+    first = top if len(runs) % 2 else 3 - top
     if len(runs) > 1 and first == top:
         runs[-1] += runs.popleft()
         first = 3 - first
@@ -402,7 +373,10 @@ def _su_class(m: tuple[int, int, int, int]) -> tuple[str, ...]:
         a, b, c, d = c, d, -(a - q * c), -(b - q * d)
     letters.extend(_t_power_letters(b if a == 1 else -b))
     reduced = _reduce_z2z3(tuple(letters), "S", _S_EXP)
-    return _min_rotation(_cyclic_reduce_z2z3(reduced, "S", _S_EXP))
+    # reduced = u c u^-1 with c cyclically reduced and |u| = |u^-1|, so its
+    # middle lies in c, and rotated there it reduces to a rotation of c
+    half = len(reduced) // 2
+    return _min_rotation(_reduce_z2z3(reduced[half:] + reduced[:half], "S", _S_EXP))
 
 
 def _psl2z_class(word: BraidWord) -> tuple[str, ...]:

@@ -239,7 +239,8 @@ def _port_components(
     through each block port.
 
     Ports are (block_id, "in"|"out", column); component ids are the
-    smallest strand position on the component, as used by closure_links.
+    smallest strand position on the component, the first member that
+    ``links.components`` lists.
     """
     comps = components(instantiate(sk, a))
     comp_of = {member: comp.members[0] for comp in comps for member in comp.members}

@@ -19,7 +19,6 @@ from braidcalc.b3 import (
     UnknotClass,
     Unresolved,
     _battery_key,
-    _cyclic_reduce_z2z3,
     _fp_mul,
     _fp_of_word,
     _min_rotation,
@@ -192,9 +191,35 @@ def quotient_image(word: BraidWord) -> FreeProductWord:
     return FreeProductWord.from_letters(raw)
 
 
+def reference_cyclic_reduce(
+    letters: tuple[str, ...], two: str, y_exp: dict[str, int]
+) -> tuple[str, ...]:
+    """Cyclic reduction of a freely reduced Z/2 * Z/3 word by trimming its
+    ends: two letters of the order-two factor cancel, two of the
+    order-three factor become their product, appended at the end."""
+    by_exp = {v: k for k, v in y_exp.items()}
+    # the cyclic word is w[head:]; both ends are trimmed in place
+    w = list(letters)
+    head = 0
+    while len(w) - head >= 2:
+        first, last = w[head], w[-1]
+        if first == two and last == two:
+            head += 1
+            w.pop()
+        elif first != two and last != two:
+            total = (y_exp[last] + y_exp[first]) % 3
+            head += 1
+            w.pop()
+            if total:
+                w.append(by_exp[total])
+        else:
+            break
+    return tuple(w[head:])
+
+
 def letter_normal_form(word: BraidWord) -> B3NormalForm:
     """``b3.normal_form`` by the letter route."""
-    cyc = _cyclic_reduce_z2z3(quotient_image(word).letters, "X", _Y_EXP)
+    cyc = reference_cyclic_reduce(quotient_image(word).letters, "X", _Y_EXP)
     return B3NormalForm(word.exponent_sum(), _min_rotation(cyc))
 
 

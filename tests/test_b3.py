@@ -23,10 +23,15 @@ from braidcalc.b3 import (
     conjugate_in_B3,
     kolee_both_signs,
     normal_form,
-    _cyclic_reduce_z2z3,
+    _FP_GENS,
+    _FP_PRIME,
+    _FP_T,
+    _PSL_GEN,
+    _S_EXP,
     _min_rotation,
     _psl2z_class,
     _reduce_z2z3,
+    _su_class,
 )
 from braidcalc.burau import burau_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
@@ -40,6 +45,7 @@ from conftest import (
     reduced_corpus,
     reference_classify_closure,
     reference_conjugacy_oracle,
+    reference_cyclic_reduce,
 )
 
 DELTA_SQ = parse_word("n=3 s1 s2 s1 s2 s1 s2")
@@ -260,6 +266,22 @@ def test_psl2z_class_frozen():
     assert _psl2z_class(parse_word("n=3 s2^-1")) == ("S", "U")
 
 
+def _evaluate_mod_prime(poly, t: int) -> int:
+    return sum(c * pow(t, poly.low + i, _FP_PRIME) for i, c in enumerate(poly.coeffs)) % _FP_PRIME
+
+
+@pytest.mark.parametrize("letter", _B3_LETTERS)
+def test_generator_tables_are_burau_matrices(letter):
+    """The oracle's integer and fingerprint generators are the reduced
+    Burau matrices of the one-letter words at t = -1 and at t = _FP_T;
+    the small integer entries are compared mod the same prime."""
+    rows = burau_matrix(BraidWord(3, (letter,)))
+    entries = [x for row in rows for x in row]
+    at_minus_one = tuple(_evaluate_mod_prime(x, -1) for x in entries)
+    assert tuple(v % _FP_PRIME for v in _PSL_GEN[letter]) == at_minus_one
+    assert _FP_GENS[letter] == tuple(_evaluate_mod_prime(x, _FP_T) for x in entries)
+
+
 @given(braid_words_3(max_length=10), braid_words_3(max_length=10))
 def test_quotient_image_is_a_homomorphism(w1: BraidWord, w2: BraidWord):
     product = quotient_image(w1).letters + quotient_image(w2).letters
@@ -343,6 +365,43 @@ def test_classify_closure_matches_letter_built_reference():
     }
 
 
+def _cyclic_moves(word: BraidWord) -> tuple[bool, bool]:
+    """Which moves of the cyclic reduction in ``b3._syllable_normal_form``
+    the word reaches, read from its letter route: the front-run move when
+    the reduced image's ends meet and its Y letters are not all equal;
+    the single-run letter move when, with the cancelling ends trimmed,
+    two or more Y letters are left, all equal, one at each end."""
+    r = quotient_image(word).letters
+    ys = {x for x in r if x != "X"}
+    front = len(ys) == 2 and (r[0] == "X") == (r[-1] == "X")
+    i, j = 0, len(r)
+    while j - i >= 2 and (r[i], r[j - 1]) in (("X", "X"), ("Y", "Y2"), ("Y2", "Y")):
+        i, j = i + 1, j - 1
+    core = r[i:j]
+    core_ys = [x for x in core if x != "X"]
+    letter = len(core_ys) > 1 and core[0] != "X" != core[-1] and len(set(core_ys)) == 1
+    return front, letter
+
+
+def test_normal_form_matches_letter_route_on_long_conjugates():
+    """Run-length route against the letter route on g w g^-1, g up to 30
+    syllables of powers 1-40 and w a short word or one syllable, so that
+    the cyclic reduction moves runs and single letters to the back."""
+    rng = random.Random(17)
+    reached = Counter()
+    for i in range(1500):
+        count = rng.randint(0, 30)
+        g = _from_syllables([(rng.choice(_B3_LETTERS), rng.randint(1, 40)) for _ in range(count)])
+        if i % 2:
+            w = BraidWord(3, tuple(rng.choice(_B3_LETTERS) for _ in range(rng.randint(0, 5))))
+        else:
+            w = sigma_power(3, rng.choice((1, 2)), rng.choice((1, -1)) * rng.randint(1, 40))
+        word = w.conjugated_by(g)
+        assert normal_form(word) == letter_normal_form(word), str(word)
+        reached.update(zip(("front run", "single-run letter"), _cyclic_moves(word)))
+    assert reached["front run", True] and reached["single-run letter", True], reached
+
+
 @given(braid_words_3(max_length=8), braid_words_3(max_length=8))
 def test_two_routes_agree(w1: BraidWord, w2: BraidWord):
     """Normal-form route vs the independent matrix route."""
@@ -375,23 +434,6 @@ def _min_rotation_reference(letters):
     return min((letters[k:] + letters[:k] for k in range(len(letters))), default=())
 
 
-def _cyclic_reduce_reference(letters, two, y_exp):
-    by_exp = {v: k for k, v in y_exp.items()}
-    w = list(letters)
-    while len(w) >= 2:
-        first, last = w[0], w[-1]
-        if first == two and last == two:
-            w = w[1:-1]
-        elif first != two and last != two:
-            total = (y_exp[last] + y_exp[first]) % 3
-            w = w[1:-1]
-            if total:
-                w.append(by_exp[total])
-        else:
-            break
-    return tuple(w)
-
-
 _alphabet_words = st.sampled_from((("X", "Y", "Y2"), ("S", "U", "U2"))).flatmap(
     lambda alphabet: st.one_of(
         st.lists(st.sampled_from(alphabet), max_size=16).map(tuple),
@@ -409,10 +451,64 @@ def test_min_rotation_matches_min_of_rotations(letters):
     assert _min_rotation(letters) == _min_rotation_reference(letters)
 
 
-@given(st.lists(st.sampled_from(("X", "Y", "Y2")), max_size=16).map(tuple))
-def test_cyclic_reduce_matches_reference(letters):
-    reduced = _reduce_z2z3(letters, "X", _Y_EXP)
-    for word in (letters, reduced):
-        assert _cyclic_reduce_z2z3(word, "X", _Y_EXP) == _cyclic_reduce_reference(
-            word, "X", _Y_EXP
+_ALPHABETS = (("X", _Y_EXP), ("S", _S_EXP))
+
+
+def _inverse_letters(letters, two, y_exp):
+    by_exp = {v: k for k, v in y_exp.items()}
+    return tuple(x if x == two else by_exp[3 - y_exp[x]] for x in reversed(letters))
+
+
+def _rotated_at_middle(letters, two, y_exp):
+    """Cyclic word of a freely reduced word as ``b3._su_class`` takes it:
+    rotated at its middle, reduced again and rotated to its least."""
+    m = len(letters) // 2
+    return _min_rotation(_reduce_z2z3(letters[m:] + letters[:m], two, y_exp))
+
+
+def _word_and_conjugator(alphabet):
+    letters = st.sampled_from((alphabet[0], *alphabet[1]))
+    return st.tuples(
+        st.just(alphabet),
+        st.lists(letters, max_size=16).map(tuple),
+        st.lists(letters, max_size=40).map(tuple),
+    )
+
+
+@given(st.sampled_from(_ALPHABETS).flatmap(_word_and_conjugator))
+def test_cyclic_reduce_matches_reference(drawn):
+    """On a reduced word c and on u c u^-1 reduced, |u| up to 40: the
+    rotation at the middle and the trimming give the same cyclic word."""
+    (two, y_exp), letters, u = drawn
+    c = _reduce_z2z3(letters, two, y_exp)
+    conjugate = _reduce_z2z3(u + c + _inverse_letters(u, two, y_exp), two, y_exp)
+    for word in (c, conjugate):
+        expected = _min_rotation(reference_cyclic_reduce(word, two, y_exp))
+        assert _rotated_at_middle(word, two, y_exp) == expected
+
+
+# S = [[0,-1],[1,0]] and U = S^-1 T with T = [[1,1],[0,1]], as in b3
+_SU_MATRICES = {"S": (0, -1, 1, 0), "U": (0, 1, -1, -1), "U2": (-1, -1, 1, 0)}
+
+
+def _matrix_of(letters):
+    m = (1, 0, 0, 1)
+    for x in letters:
+        g = _SU_MATRICES[x]
+        m = (
+            m[0] * g[0] + m[1] * g[2],
+            m[0] * g[1] + m[1] * g[3],
+            m[2] * g[0] + m[3] * g[2],
+            m[2] * g[1] + m[3] * g[3],
         )
+    return m
+
+
+@given(_word_and_conjugator(("S", _S_EXP)))
+def test_su_class_matches_trimming_reference(drawn):
+    """``_su_class`` of the matrix of an S/U word is the least rotation
+    of that word reduced and cyclically reduced by trimming."""
+    _, letters, u = drawn
+    word = u + letters + _inverse_letters(u, "S", _S_EXP)
+    reduced = _reduce_z2z3(word, "S", _S_EXP)
+    assert _su_class(_matrix_of(word)) == _min_rotation(reference_cyclic_reduce(reduced, "S", _S_EXP))
