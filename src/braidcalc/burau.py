@@ -4,13 +4,15 @@ Everything here is integer arithmetic in Z[t, t^-1]; coefficients are
 Python ints, so nothing overflows.  A polynomial is a lowest power plus
 the dense run of coefficients from there up, so sums and shifts are
 list operations, and a product or an exact quotient of two of them is a
-schoolbook loop.  Kronecker packing, which holds a polynomial as one big
-integer, its value at a power of two, is used in two places only.  The
-Bareiss determinant packs each operand once per elimination step, at one
-digit width for the step, and computes every entry as one difference of
-packed products and one divmod; a packed quotient is accepted when its
-digits are too narrow to have carried into each other, which proves it
-exact without multiplying back.
+schoolbook loop; the Alexander polynomial's division by 1 + t + ... +
+t^(n-1) takes stride-n prefix sums instead (``links``).  Kronecker
+packing, which holds a polynomial as one big integer, its value at a
+power of two, is used in two places only.  The Bareiss determinant
+packs each operand once per elimination step, at one digit width for
+the step, and computes every entry as one difference of packed products
+and one divmod; a packed quotient is accepted when its digits are too
+narrow to have carried into each other, which proves it exact without
+multiplying back.
 
 The other is the Burau walk.  The reduced Burau matrix of a word on n
 strands is (n-1) x (n-1) and is built column by column, one syllable (a
@@ -25,7 +27,10 @@ carried per column through the segment's syllables, so no digit can have
 carried into the next.  A segment ends before its bound grows _ROOM_BITS
 past where it began, or after _SEGMENT_SYLLABLES syllables, so words
 whose true coefficients stay small, such as periodic ones, keep narrow
-digits and short entries however long they are.
+digits and short entries however long they are.  The last segment's
+entries stay packed until read: ``burau_matrix`` unpacks them all, and
+``burau_trace``, which is all the 3-strand Alexander polynomial needs,
+adds the two diagonal entries packed and unpacks only their sum.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .words import BraidWord
 __all__ = [
     "Laurent",
     "burau_matrix",
+    "burau_trace",
     "determinant",
     "trace",
 ]
@@ -350,12 +356,37 @@ def burau_matrix(word: BraidWord) -> Matrix:
     identity except for the 2x2 block [[1-t, t], [1, 0]] at (i, i); the
     last generator acts as the identity except for its final column
     (-1, ..., -1, -t)^T.  Determinants are (-t)^(exponent sum).
+    """
+    cols, low, nb = _packed_walk(word)
+    return tuple(zip(*[[_unpacked(x, low, nb) for x in col] for col in cols]))
 
-    The word is walked in segments of syllables.  At the start of each,
-    the bound of every column is its largest true coefficient; ``_grow``
-    carries these bounds through the segment's syllables, and the digit
-    width comes from the largest bound at its end (``_segment``).  The
-    segment is then applied by ``_walk`` and its result unpacked.
+
+def burau_trace(word: BraidWord) -> Laurent:
+    """Trace of the reduced Burau matrix of a 3-strand ``word``.
+
+    The two diagonal entries are added while still packed, so only their
+    sum is unpacked.  It fits the walk's digits: ``_segment`` leaves two
+    bits over the largest bound, so every coefficient a, b of the two
+    entries has |a + b| <= 2*max(bound) < 2^(8*nb - 1), a signed digit.
+    Three or more diagonal entries would need more room, so other strand
+    counts raise ValueError.
+    """
+    if word.strands != 3:
+        raise ValueError(f"burau_trace takes 3-strand words, not {word.strands}")
+    cols, low, nb = _packed_walk(word)
+    return _unpacked(cols[0][0] + cols[1][1], low, nb)
+
+
+def _packed_walk(word: BraidWord) -> tuple[list[list[int]], int, int]:
+    """The Burau columns of ``word`` as the walk's last segment left them.
+
+    Returns (cols, low, nb): row i of column j is
+    ``_unpacked(cols[j][i], low, nb)``.  The word is walked in segments
+    of syllables.  At the start of each, the bound of every column is its
+    largest true coefficient; ``_grow`` carries these bounds through the
+    segment's syllables, and the digit width comes from the largest bound
+    at its end (``_segment``).  The segment is then applied by ``_walk``,
+    and its result is unpacked only if another segment follows.
     Evaluation at 2^w is a ring homomorphism, so the packed integers are
     exact whatever their size; only reading the coefficients back needs
     them to fit their w-bit digits, which the bound proves, so nothing is
@@ -366,18 +397,22 @@ def burau_matrix(word: BraidWord) -> Matrix:
         (index, sign, len(list(run))) for (index, sign), run in groupby(word.letters)
     ]
     cols = [[_ONE if i == j else _ZERO for i in range(m)] for j in range(m)]
+    # the packed identity is the result only for a word with no syllables
+    packed, low, nb = [[int(i == j) for i in range(m)] for j in range(m)], 0, 1
     start = 0
     while start < len(syllables):
+        if start:
+            cols = [[_unpacked(x, low, nb) for x in col] for col in packed]
         bound = [max([max(map(abs, x.coeffs)) for x in col if x.coeffs]) for col in cols]
         end, nb = _segment(syllables, start, bound)
-        cols = _walk(cols, syllables[start:end], nb)
+        packed, low = _walk(cols, syllables[start:end], nb)
         start = end
-    return tuple(tuple(col[i] for col in cols) for i in range(m))
+    return packed, low, nb
 
 
 def _walk(
     cols: list[list[Laurent]], syllables: list[tuple[int, int, int]], nb: int
-) -> list[list[Laurent]]:
+) -> tuple[list[list[int]], int]:
     """The columns ``cols`` right-multiplied by ``syllables``, on digits of nb bytes.
 
     Every entry is multiplied by t^(N - low), N the number of inverse
@@ -398,7 +433,8 @@ def _walk(
     columns of M (G - I) are d and -d with d = c1 - t*c, so c += S_e*d
     and c1 -= S_e*d; for the last generator only the last column moves,
     by S_e times d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).
-    Each entry is unpacked once at the end and shifted back.
+    The columns are returned packed, with the power of t their lowest
+    digit stands for.
     """
     m = len(cols)
     w = 8 * nb
@@ -436,7 +472,7 @@ def _walk(
                     cols[c] = [-sum(rest) - (x << w) for x, *rest in zip(cols[c], *cols[:c])]
                 else:
                     cols[c] = [-s >> w for s in map(sum, zip(*cols))]
-    return [[_unpacked(x, low - scale, nb) for x in col] for col in cols]
+    return cols, low - scale
 
 
 def _unpacked(value: int, low: int, nb: int) -> Laurent:

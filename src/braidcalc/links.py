@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
-from .burau import Laurent, burau_matrix, determinant, trace
+from .burau import Laurent, burau_matrix, burau_trace, determinant
 from .words import BraidWord
 
 __all__ = [
@@ -124,22 +126,41 @@ def alexander_polynomial(word: BraidWord) -> Laurent:
 
     det(B - I) divided by 1 + t + ... + t^(n-1).  For three strands B is
     2x2, so det(B - I) = 1 - tr B + det B with det B = (-t)^e in closed
-    form; other strand counts take the Bareiss determinant.  Normalized
-    to minimum degree 0 with positive top coefficient; the zero
-    polynomial is returned as such (split links).
+    form, and only the trace is read from the Burau walk; other strand
+    counts take the Bareiss determinant.  Normalized to minimum degree 0
+    with positive top coefficient; the zero polynomial is returned as
+    such (split links).
     """
-    m = burau_matrix(word)
-    size = word.strands - 1
-    if size == 2:
+    if word.strands == 3:
         e = word.exponent_sum()
-        det = _ONE - trace(m) + Laurent.term(-1 if e % 2 else 1, e)
+        det = _ONE - burau_trace(word) + Laurent.term(-1 if e % 2 else 1, e)
     else:
+        m = burau_matrix(word)
+        size = word.strands - 1
         shifted = tuple(
             tuple(m[i][j] - (_ONE if i == j else Laurent.zero()) for j in range(size))
             for i in range(size)
         )
         det = determinant(shifted)
-    if det.is_zero():
-        return det
-    cyclotomic_like = Laurent(0, (1,) * word.strands)
-    return det.divexact(cyclotomic_like).unit_normalized()
+    return _divexact_repunit(det, word.strands).unit_normalized()
+
+
+def _divexact_repunit(p: Laurent, n: int) -> Laurent:
+    """The exact quotient p / (1 + t + ... + t^(n-1)); ValueError if inexact.
+
+    The divisor is (1 - t^n) / (1 - t), so the quotient q is r / (1 - t^n)
+    with r = p * (1 - t): q_k = r_k + q_(k-n), the prefix sums of r taken
+    with stride n.  The division is exact when the top n sums are zero,
+    and q is the sums below them.  A nonzero p shorter than n fails the
+    test, as its sums are r itself and r starts with p's lowest term.
+    """
+    c = p.coeffs
+    if not c:
+        return p
+    r = [c[0], *map(sub, c[1:], c), -c[-1]]
+    q = [0] * len(r)
+    for i in range(n):
+        q[i::n] = accumulate(r[i::n])
+    if any(q[-n:]):
+        raise ValueError("inexact polynomial division")
+    return Laurent(p.low, tuple(q[:-n]))

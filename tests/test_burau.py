@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from braidcalc.burau import (
     _pack,
     _packed_quotient,
     burau_matrix,
+    burau_trace,
     determinant,
     trace,
 )
@@ -263,6 +266,59 @@ def test_burau_matches_product_of_letter_matrices(w):
 def test_trace_is_conjugation_invariant(w):
     g = parse_word("n=3 s1 s2^-1")
     assert trace(burau_matrix(w.conjugated_by(g))) == trace(burau_matrix(w))
+
+
+def _three_strand_words(rng, count, positive=False):
+    """Seeded 3-strand words of up to 40 syllables s_i^k, 1 <= |k| <= 40."""
+    words = []
+    for _ in range(count):
+        letters = []
+        for _ in range(rng.randint(1, 40)):
+            power = rng.randint(1, 40) if positive else rng.choice((1, -1)) * rng.randint(1, 40)
+            letters += sigma_power(3, rng.randint(1, 2), power).letters
+        words.append(BraidWord(3, tuple(letters)))
+    return words
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["default", "short-segments"])
+@pytest.mark.parametrize("positive", [False, True], ids=["mixed", "positive"])
+def test_burau_trace_matches_matrix_trace(monkeypatch, positive, short):
+    """Seeded 3-strand syllable words.  The empty word and positive words
+    have diagonal coefficients of one sign, so the two packed entries add
+    in size rather than cancel: the width edge.  Short segments (one or
+    two syllables with one bit of room, as in
+    ``test_short_segments_match_reference``) make the bounds tight and the
+    trace is read from the entries of a later segment."""
+    widths = []
+    if short:
+        monkeypatch.setattr(burau, "_ROOM_BITS", 1)
+        monkeypatch.setattr(burau, "_SEGMENT_SYLLABLES", 2)
+        walk = burau._walk
+
+        def recording_walk(cols, syllables, nb):
+            widths.append(nb)
+            return walk(cols, syllables, nb)
+
+        monkeypatch.setattr(burau, "_walk", recording_walk)
+    words = _three_strand_words(random.Random(19 + 2 * positive + short), 200, positive)
+    # with short segments, its last one has a 7-bit bound and an 8-bit
+    # trace, so a digit one bit narrower than _segment's would overflow
+    words.append(parse_word("n=3 s2^2 s1^17 s2^-46 s1^-6"))
+    if positive:
+        words += [BraidWord(3)] + [
+            parse_word(text)
+            for text in ("n=3 " + "s1 s2 " * 500, "n=3 " + "s1 s2^2 " * 300, "n=3 s1^4000 s2^4000")
+        ]
+    for w in words:
+        assert burau_trace(w) == trace(burau_matrix(w)), w
+    # more than one segment per call on average
+    assert not short or len(widths) > 2 * len(words)
+
+
+@pytest.mark.parametrize("text", ["n=1", "n=2 s1", "n=4 s1 s3", "n=5"])
+def test_burau_trace_takes_three_strands_only(text):
+    with pytest.raises(ValueError):
+        burau_trace(parse_word(text))
 
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from braidcalc.burau import Laurent, burau_matrix, determinant
-from braidcalc.links import alexander_polynomial, components, linking_matrix
+from braidcalc.links import (
+    _divexact_repunit,
+    alexander_polynomial,
+    components,
+    linking_matrix,
+)
 from braidcalc.words import MAX_STRANDS, BraidWord, parse_word
 
 from conftest import braid_words, laurent, reference_components
@@ -121,6 +126,35 @@ def test_self_writhe_and_mixed_sum_to_exponent_sum(w: BraidWord):
 def test_alexander_is_conjugation_invariant(w: BraidWord):
     g = parse_word(f"n={w.strands} s1^2")
     assert alexander_polynomial(w.conjugated_by(g)) == alexander_polynomial(w)
+
+
+def _random_laurent(rng: random.Random, length: int) -> Laurent:
+    """A polynomial of ``length`` coefficients with nonzero ends."""
+    coeffs = [rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(0, 30)) for _ in range(length)]
+    coeffs[0] = coeffs[0] or 1
+    coeffs[-1] = coeffs[-1] or -1
+    return Laurent(rng.randint(-20, 20), tuple(coeffs))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_repunit_division_matches_divexact(n):
+    """Exact products q * (1 + ... + t^(n-1)) divide back to q; a product
+    plus a remainder of lower degree, and polynomials shorter than n,
+    raise ValueError as ``divexact`` does."""
+    rng = random.Random(190 + n)
+    repunit = Laurent(0, (1,) * n)
+    assert _divexact_repunit(Laurent.zero(), n) == Laurent.zero()
+    for _ in range(300):
+        q = _random_laurent(rng, rng.randint(1, 60))
+        p = q * repunit
+        assert _divexact_repunit(p, n) == p.divexact(repunit) == q
+        remainder = Laurent(p.low, _random_laurent(rng, rng.randint(1, n - 1)).coeffs)
+        short = _random_laurent(rng, rng.randint(1, n - 1))
+        for inexact in (p + remainder, short):
+            with pytest.raises(ValueError):
+                inexact.divexact(repunit)
+            with pytest.raises(ValueError):
+                _divexact_repunit(inexact, n)
 
 
 @given(braid_words(min_strands=3, max_strands=3, max_length=60))
