@@ -7,11 +7,12 @@ list operations, and a product or an exact quotient of two of them is a
 schoolbook loop; the Alexander polynomial's division by 1 + t + ... +
 t^(n-1) takes stride-n prefix sums instead (``links``).  Kronecker
 packing, which holds a polynomial as one big integer, its value at a
-power of two, is used in two places only.  The Bareiss determinant
-packs each operand once per elimination step, at one digit width for
-the step, and computes every entry as one difference of packed products
-and one divmod; a packed quotient is accepted when its digits are too
-narrow to have carried into each other, which proves it exact without
+power of two, is used in two places only, and ``_unpacked`` is the one
+reader of packed integers in both.  The Bareiss determinant packs each
+operand once per elimination step, at one digit width for the step, and
+computes every entry as one difference of packed products and one
+divmod; the quotient it reads is accepted when its digits are too narrow
+to have carried into each other, which proves it exact without
 multiplying back.
 
 The other is the Burau walk.  The reduced Burau matrix of a word on n
@@ -227,38 +228,25 @@ def _pack(coeffs: tuple[int, ...] | list[int], nb: int) -> int:
     return int.from_bytes(data, "little") - _offsets(len(coeffs), nb)
 
 
-def _unpack(value: int, n: int, nb: int) -> list[int]:
-    """The n signed digits of ``value``; OverflowError if it has no such form."""
-    half = 1 << (8 * nb - 1)
-    data = (value + _offsets(n, nb)).to_bytes(n * nb, "little")
-    return [int.from_bytes(data[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+def _unpacked(value: int, low: int, nb: int) -> Laurent:
+    """The polynomial whose value at t = 2^(8*nb) is ``value``, times t^low.
 
-
-def _packed_quotient(
-    num: int, div: int, size: int, nb: int, div_bits: int, div_len: int
-) -> list[int] | None:
-    """The ``size`` digits of the quotient num / div of packed integers, or None.
-
-    ``num`` and ``div`` pack polynomials N and D whose coefficients fit
-    signed digits of nb bytes, and D has div_len coefficients below
-    2^div_bits in size.  The digits q are accepted when the remainder is
-    0, they unpack, and bits(max|q|) + div_bits + bits(min(size, div_len))
-    + 2 <= 8*nb.  The last test keeps every coefficient of q*D inside a
-    digit, so q*D and N are polynomials with in-range digits that agree at
-    t = 2^(8*nb); as signed digits are unique, q*D = N.  A quotient whose
-    coefficients outgrow the width carries between digits and is refused.
+    Every integer is one sum of signed digits in [-2^(w-1), 2^(w-1)),
+    w = 8*nb, and this reads it: a value of b bits needs at most
+    (b + 1) // w + 1 digits, and a zero top digit is trimmed.  Zero low
+    digits are dropped first, so only the digits from the lowest nonzero
+    one up are read.
     """
-    quot, rem = divmod(num, div)
-    if rem:
-        return None
-    try:
-        digits = _unpack(quot, size, nb)
-    except OverflowError:  # a quotient digit outgrew the width
-        return None
-    top = max(map(abs, digits)).bit_length()
-    if top + div_bits + min(size, div_len).bit_length() + 2 > 8 * nb:
-        return None
-    return digits
+    if not value:
+        return _ZERO
+    w = 8 * nb
+    skip = ((value & -value).bit_length() - 1) // w
+    value >>= skip * w
+    n = (abs(value).bit_length() + 1) // w + 1
+    half = 1 << (w - 1)
+    data = (value + _offsets(n, nb)).to_bytes(n * nb, "little")
+    digits = [int.from_bytes(data[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+    return _trimmed(low + skip, digits)
 
 
 def trace(m: Matrix) -> Laurent:
@@ -475,20 +463,6 @@ def _walk(
     return cols, low - scale
 
 
-def _unpacked(value: int, low: int, nb: int) -> Laurent:
-    """The polynomial whose value at t = 2^(8*nb) is ``value``, times t^low.
-
-    Zero low digits are dropped first, so only the digits from the lowest
-    nonzero one up are read.
-    """
-    if not value:
-        return _ZERO
-    w = 8 * nb
-    skip = ((value & -value).bit_length() - 1) // w
-    value >>= skip * w
-    return _trimmed(low + skip, _unpack(value, abs(value).bit_length() // w + 1, nb))
-
-
 def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     """Eliminate below the pivot a[k][k], whose predecessor was ``prev``.
 
@@ -497,11 +471,16 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     the whole step: with B the largest coefficient bits and L the longest
     entry of the active submatrix, every numerator has coefficients below
     2^(2B + bits(L) + 1), and the width fits prev too.  The pivot, its
-    row, each a_ik and prev are packed once.  Each numerator is the
+    row, each a_ik and prev are packed once.  Each numerator N is the
     difference of two packed products, aligned by shifting whole digits,
-    and is divided by one divmod; only the quotient is unpacked.  An
-    entry whose quotient ``_packed_quotient`` refuses is computed again
-    by Laurent arithmetic.
+    and is divided by one divmod; the quotient is read by ``_unpacked``
+    as a polynomial q.  The read is accepted when there is no remainder
+    and bits(max|q|) + bits(max|prev|) + bits(min(len q, len prev)) + 2
+    <= w.  Then every coefficient of q*prev fits a signed digit, as every
+    coefficient of N does, and the two agree at t = 2^w; as signed digits
+    are unique, q*prev = N.  A quotient whose coefficients outgrow the
+    width has carried between digits and is refused; that entry is
+    computed again by Laurent arithmetic.
     """
     size = len(a)
     active = [x.coeffs for row in a[k:] for x in row[k:] if x.coeffs]
@@ -512,35 +491,33 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     width = 8 * nb
     div, div_len = _pack(prev.coeffs, nb), len(prev.coeffs)
     pivot = a[k][k]
-    piv, piv_len = _pack(pivot.coeffs, nb), len(pivot.coeffs)
-    row = [(x.low, len(x.coeffs), _pack(x.coeffs, nb)) for x in a[k][k + 1:]]
+    piv = _pack(pivot.coeffs, nb)
+    row = [(x.low, _pack(x.coeffs, nb)) for x in a[k][k + 1:]]
     for i in range(k + 1, size):
         ai = a[i]
         c = ai[k]
-        col, col_len = _pack(c.coeffs, nb), len(c.coeffs)
-        for j, (r_low, r_len, r) in enumerate(row, k + 1):
+        col = _pack(c.coeffs, nb)
+        for j, (r_low, r) in enumerate(row, k + 1):
             x = ai[j]
-            # (low, high, value) of a_kk*a_ij and of -a_ik*a_kj, where nonzero
+            # (low, value) of a_kk*a_ij and of -a_ik*a_kj, where nonzero
             terms = []
             if x.coeffs:
-                low = pivot.low + x.low
-                terms.append((low, low + piv_len + len(x.coeffs) - 2, piv * _pack(x.coeffs, nb)))
+                terms.append((pivot.low + x.low, piv * _pack(x.coeffs, nb)))
             if col and r:
-                low = c.low + r_low
-                terms.append((low, low + col_len + r_len - 2, -col * r))
+                terms.append((c.low + r_low, -col * r))
             low = min([t[0] for t in terms], default=0)
-            num = sum([value << width * (t_low - low) for t_low, _, value in terms])
+            num = sum([value << width * (t_low - low) for t_low, value in terms])
             if not num:
                 ai[j] = _ZERO
                 continue
-            quot_len = max([t[1] for t in terms]) - low + 2 - div_len
-            quot = None
-            if quot_len > 0:
-                quot = _packed_quotient(num, div, quot_len, nb, div_bits, div_len)
-            if quot is None:
-                ai[j] = (pivot * x - c * a[k][j]).divexact(prev)
-            else:
-                ai[j] = _trimmed(low - prev.low, quot)
+            quot, rem = divmod(num, div)
+            q = _unpacked(quot, low - prev.low, nb)
+            if rem or (
+                max(map(abs, q.coeffs)).bit_length() + div_bits
+                + min(len(q.coeffs), div_len).bit_length() + 2 > width
+            ):
+                q = (pivot * x - c * a[k][j]).divexact(prev)
+            ai[j] = q
         ai[k] = _ZERO
 
 

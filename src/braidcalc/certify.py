@@ -184,7 +184,7 @@ def verdict(params: FamilyParams, checks: CertificationChecks) -> str:
 # The largest bound ``sweep`` takes on each of p, q and r.  A sweep holds
 # every report and its time grows faster than the cube of its bounds: on
 # a shared 2-core host, --max 16 takes about 2.3 s and --max 24, which
-# certifies 11 154 triples, about 10 s.
+# certifies 11 154 triples, about 6-9 s.
 SWEEP_MAX = 24
 
 

@@ -135,13 +135,10 @@ def alexander_polynomial(word: BraidWord) -> Laurent:
         e = word.exponent_sum()
         det = _ONE - burau_trace(word) + Laurent.term(-1 if e % 2 else 1, e)
     else:
-        m = burau_matrix(word)
-        size = word.strands - 1
-        shifted = tuple(
-            tuple(m[i][j] - (_ONE if i == j else Laurent.zero()) for j in range(size))
-            for i in range(size)
-        )
-        det = determinant(shifted)
+        m = [list(row) for row in burau_matrix(word)]
+        for i, row in enumerate(m):
+            row[i] -= _ONE
+        det = determinant(m)
     return _divexact_repunit(det, word.strands).unit_normalized()
 
 

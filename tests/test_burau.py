@@ -10,7 +10,7 @@ import braidcalc.burau as burau
 from braidcalc.burau import (
     Laurent,
     _pack,
-    _packed_quotient,
+    _unpacked,
     burau_matrix,
     burau_trace,
     determinant,
@@ -435,19 +435,36 @@ def test_mul_and_divexact_on_dense_coeffs(a, b):
     assert quot * q == p
 
 
+@settings(deadline=None)
+@given(
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=8),
+)
+@example(2**15 - 1, 0, 1)
+@example(2**23 - 5, 0, 1)
+@example(-(2**15), 0, 1)
+def test_unpacked_reads_every_integer(value, low, nb):
+    """Every integer has signed digits of nb bytes, also one whose top
+    digit carries into a new one, as 2^15 - 1 = 2^16 - 2^15 - 1 does."""
+    q = _unpacked(value, low, nb)
+    half = 1 << (8 * nb - 1)
+    assert all(-half <= c < half for c in q.coeffs)
+    assert sum(c << 8 * nb * (p - low) for p, c in q.pairs) == value
+
+
 @pytest.mark.parametrize("height", [1, 2, 127, 128, 300])
 def test_packed_quotient_wider_than_numerator(height):
     """(1 - t^s) times the tent 1, 2, ..., m, ..., 2, 1 has coefficients of
-    at most s in size, yet the quotient reaches m: its packed digits
-    overflow the numerator's width, and the width test refuses them.
-    Divided by the tent instead, the divisor is the wide one."""
+    at most s in size, yet the quotient reaches m: at the one-byte width
+    that fits the numerator and the divisor, the packed quotient is exact
+    but its digits carry from height 128 on, so it reads as another
+    polynomial.  Divided by the tent instead, the divisor is the wide one."""
     tent = Laurent(0, tuple(range(1, height)) + tuple(range(height, 0, -1)))
     ramps = Laurent(0, (1, -1)) * tent
-    # the quotient test at the one-byte width that fits the numerator and
-    # the divisor: it refuses every tent above height 2, so also the
-    # carried digits the divmod leaves from height 128 on
-    quot = _packed_quotient(_pack(ramps.coeffs, 1), _pack((1, -1), 1), len(tent.coeffs), 1, 1, 2)
-    assert quot == (list(tent.coeffs) if height <= 2 else None)
+    quot, rem = divmod(_pack(ramps.coeffs, 1), _pack((1, -1), 1))
+    assert rem == 0
+    assert (_unpacked(quot, 0, 1) == tent) == (height < 128)
     assert ramps.divexact(Laurent(0, (1, -1))) == tent
     assert ramps.divexact(tent) == Laurent(0, (1, -1))
     # the same with a longer step 1 - t^8
@@ -510,7 +527,14 @@ def test_determinant_matches_schoolbook_bareiss(m):
 @settings(deadline=None, max_examples=30)
 @given(laurent_matrices())
 def test_determinant_falls_back_when_a_quotient_is_refused(m):
-    """With every packed quotient refused, each entry takes Laurent arithmetic."""
+    """With every packed quotient read too wide, each entry takes Laurent
+    arithmetic: the read gains a coefficient of 2^(8*nb) at its lowest
+    power, which no width test accepts."""
+    unpacked = burau._unpacked
+
+    def too_wide(value, low, nb):
+        return unpacked(value, low, nb) + Laurent.term(1 << 8 * nb, low)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(burau, "_packed_quotient", lambda *args: None)
+        patch.setattr(burau, "_unpacked", too_wide)
         assert determinant(m) == _bareiss_reference(m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -64,6 +65,28 @@ def test_alexander_frozen():
     assert alexander_polynomial(figure8) == laurent({0: 1, 1: -3, 2: 1})
     # split 2-component unlink
     assert alexander_polynomial(BraidWord(2, ())).is_zero()
+
+
+def _syllable_word(rng: random.Random, n: int, length: int) -> BraidWord:
+    """Syllables of one or two equal letters; neighbouring indices differ."""
+    letters: list[tuple[int, int]] = []
+    index = 0
+    while len(letters) < length:
+        index = rng.choice([i for i in range(1, n) if i != index])
+        letters.extend([(index, rng.choice((1, -1)))] * rng.choice((1, 1, 1, 2)))
+    return BraidWord(n, tuple(letters[:length]))
+
+
+def test_alexander_digest_on_multistrand_words():
+    """Alexander polynomials of 40 seeded 4-8 strand words of 50-300
+    letters, and of a periodic 8-strand word whose 132-bit coefficients
+    make wide Bareiss quotients, frozen before the Bareiss step read its
+    quotients with ``_unpacked``."""
+    rng = random.Random(20)
+    words = [_syllable_word(rng, rng.randint(4, 8), rng.randint(50, 300)) for _ in range(40)]
+    words.append(parse_word("n=8 " + "s1 s3^-1 s5 s7^-1 s2 s4^-1 s6 " * 40))
+    text = "\n".join(str(alexander_polynomial(w)) for w in words)
+    assert hashlib.sha256(text.encode()).hexdigest() == "eec020e940ca5beb0e7bcf15cf4902122d43d2e6651154468615da8d08458481"
 
 
 def test_alexander_conjugation_and_mirror():
