@@ -9,16 +9,7 @@ import sys
 from dataclasses import asdict
 from typing import Any, List, Optional, Tuple
 
-from .b3 import TorusKnot2k, UnknotClass, classify_closure, normal_form
-from .certify import FamilyParams, certify, report_lines, report_to_dict, sweep
-from .links import components, linking_matrix
-from .moves import tower_from_json, validate_tower
-from .templates import (
-    flype_template,
-    instantiate,
-    parse_template_description,
-    per_component_beta_delta,
-)
+# each verb imports its own modules, so a verb loads only what it runs
 from .words import BraidWord, format_word, parse_word
 
 FORMAT_ENV_VAR = "BRAIDCALC_FORMAT"
@@ -73,6 +64,8 @@ def _cmd_invariants(args: argparse.Namespace) -> Result:
 
 
 def _cmd_components(args: argparse.Namespace) -> Result:
+    from .links import components, linking_matrix
+
     word = _word_argument(args.word, args.n)
     comps = components(word)
     matrix = linking_matrix(word)
@@ -106,6 +99,8 @@ def _cmd_components(args: argparse.Namespace) -> Result:
 
 
 def _cmd_conjugate(args: argparse.Namespace) -> Result:
+    from .b3 import normal_form
+
     first = _word_argument(args.word1, args.n)
     second = _word_argument(args.word2, args.n)
     if first.strands != 3 or second.strands != 3:
@@ -121,6 +116,8 @@ def _cmd_conjugate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Result:
+    from .b3 import TorusKnot2k, UnknotClass, classify_closure, normal_form
+
     word = _word_argument(args.word, args.n)
     if word.strands != 3:
         raise UsageError("classify requires a three-strand word")
@@ -137,6 +134,13 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
 
 
 def _cmd_flype(args: argparse.Namespace) -> Result:
+    from .templates import (
+        flype_template,
+        instantiate,
+        parse_template_description,
+        per_component_beta_delta,
+    )
+
     if args.desc is not None:
         with open(args.desc, "r", encoding="utf-8") as handle:
             template, assignment = parse_template_description(handle.read())
@@ -162,6 +166,8 @@ def _cmd_flype(args: argparse.Namespace) -> Result:
 
 
 def _cmd_tower_validate(args: argparse.Namespace) -> Result:
+    from .moves import tower_from_json, validate_tower
+
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -186,12 +192,16 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
 
 
 def _cmd_certify(args: argparse.Namespace) -> Result:
+    from .certify import FamilyParams, certify, report_lines, report_to_dict
+
     report = certify(FamilyParams(args.p, args.q, args.r))
     code = EXIT_OK if report.certified else EXIT_CHECK_FAILED
     return code, report_to_dict(report), report_lines(report)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Result:
+    from .certify import report_to_dict, sweep
+
     p_max = args.p_max if args.p_max is not None else args.max
     q_max = args.q_max if args.q_max is not None else args.max
     r_max = args.r_max if args.r_max is not None else args.max

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import braidcalc.cli as cli
+import braidcalc.links
 from braidcalc.cli import main
 from braidcalc.moves import ConjugateBy, Stabilize, tower_to_json
 from braidcalc.words import parse_word
@@ -374,8 +376,55 @@ def test_library_value_error_is_one_error_line(capsys, monkeypatch):
     def fail(word):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "components", fail)
+    # the verb imports components when it runs, so the patch goes on links
+    monkeypatch.setattr(braidcalc.links, "components", fail)
     assert run_cli(capsys, "components", "s1") == (2, "", "error: boom\n")
+
+
+# a verb's argv (None: import only), its exit code and the modules it loads
+_LOADED_BY_VERB = [
+    (None, None, {"words"}),
+    (["invariants", "s1"], 0, {"words"}),
+    (["tower-validate"], 0, {"words", "moves"}),
+    (["components", "s1 s2"], 0, {"words", "links", "burau"}),
+    (["conjugate", "s1 s2", "s2 s1"], 0, {"words", "b3", "burau"}),
+    (["classify", "s1 s2"], 0, {"words", "b3", "burau"}),
+    (["flype", "--P", "s1", "--R", "s1", "--Q", "s1"], 0,
+     {"words", "templates", "links", "burau"}),
+    (["certify", "--p", "2", "--q", "4", "--r", "3"], 0,
+     {"words", "b3", "burau", "certify", "links", "templates"}),
+    (["sweep", "--max", "3"], 0,
+     {"words", "b3", "burau", "certify", "links", "templates"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded", _LOADED_BY_VERB,
+    ids=[argv[0] if argv else "import" for argv, _, _ in _LOADED_BY_VERB],
+)
+def test_each_verb_imports_only_its_modules(argv, code, loaded):
+    # a fresh interpreter, so that nothing this test session imported counts
+    script = (
+        "import io, json, sys, contextlib\n"
+        "import braidcalc.cli\n"
+        "argv, code = json.loads(sys.argv[1]), None\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = braidcalc.cli.main(argv)\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('braidcalc'))]))\n"
+    )
+    src = str(Path(braidcalc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tower = tower_to_json("topological", parse_word("n=3 s1"), (Stabilize(1),))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        input=tower, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        code,
+        sorted({"braidcalc", "braidcalc.cli"} | {"braidcalc." + name for name in loaded}),
+    ]
 
 
 def test_certify_exit_codes(capsys):
