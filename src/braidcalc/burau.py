@@ -31,7 +31,8 @@ whose true coefficients stay small, such as periodic ones, keep narrow
 digits and short entries however long they are.  The last segment's
 entries stay packed until read: ``burau_matrix`` unpacks them all, and
 ``burau_trace``, which is all the 3-strand Alexander polynomial needs,
-adds the two diagonal entries packed and unpacks only their sum.
+adds the two diagonal entries packed and unpacks only their sum, and
+``certify`` compares two such sums without unpacking them.
 """
 
 from __future__ import annotations

@@ -165,8 +165,11 @@ def instantiate(sk: BlockSkeleton, a: Mapping[str, BraidWord]) -> BraidWord:
         if isinstance(item, Crossing):
             letters.append((item.index, item.sign))
             continue
+        # one shifted letter per distinct letter, shared by every position
         shift = item.start_position - 1
-        letters.extend((index + shift, sign) for index, sign in fills[item.block_id].letters)
+        block = fills[item.block_id].letters
+        table = {letter: (letter[0] + shift, letter[1]) for letter in set(block)}
+        letters.extend(map(table.__getitem__, block))
     return BraidWord(sk.strands, tuple(letters))
 
 

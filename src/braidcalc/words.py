@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterator
 
 __all__ = [
@@ -89,7 +90,7 @@ class BraidWord:
         return BraidWord(self.strands, tuple(stack))
 
     def exponent_sum(self) -> int:
-        return sum(s for _, s in self.letters)
+        return sum(map(itemgetter(1), self.letters))
 
     def bennequin(self) -> int:
         """Self-linking number of the closure: exponent sum minus strands."""

@@ -36,6 +36,7 @@ from braidcalc.moves import (
     Stabilize,
     TowerValidation,
 )
+from braidcalc.templates import BlockSkeleton, Crossing
 from braidcalc.words import BraidWord, sigma_power
 
 
@@ -51,6 +52,20 @@ def laurent(terms: dict[int, int]) -> Laurent:
 def coeff(poly: Laurent, power: int) -> int:
     i = power - poly.low
     return poly.coeffs[i] if 0 <= i < len(poly.coeffs) else 0
+
+
+def reference_instantiate(sk: BlockSkeleton, assignment: dict[str, BraidWord]) -> BraidWord:
+    """``templates.instantiate`` letter by letter: each block letter is
+    shifted by the block's start position minus one."""
+    letters: list[tuple[int, int]] = []
+    for item in sk.items:
+        if isinstance(item, Crossing):
+            letters.append((item.index, item.sign))
+        else:
+            shift = item.start_position - 1
+            for index, sign in assignment[item.block_id].letters:
+                letters.append((index + shift, sign))
+    return BraidWord(sk.strands, tuple(letters))
 
 
 def find_exchange_splits(word: BraidWord) -> tuple[tuple[int, int], ...]:

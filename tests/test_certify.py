@@ -1,21 +1,27 @@
 import dataclasses
+import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc.burau import _packed_walk
 from braidcalc.certify import (
     SWEEP_MAX,
     VERDICT_CERTIFIED,
     FamilyParams,
+    _alexander_equal,
     certify,
     family_words,
     report_to_json,
     sweep,
     verdict,
 )
-from braidcalc.words import format_word, sigma_power
+from braidcalc.links import alexander_polynomial
+from braidcalc.words import BraidWord, format_word, parse_word, sigma_power
 
 
 def test_family_words_frozen():
@@ -84,6 +90,68 @@ def test_certify_conjugate_diagonal_fails_honestly():
     assert report.verdict == "FAILED(conditions: p+1 = q)"
     forced = certify(FamilyParams(3, 4, 2))
     assert not forced.checks.conjugacy_distinct
+
+
+def _packed_trace(word):
+    cols, low, nb = _packed_walk(word)
+    return low, nb, cols[0][0] + cols[1][1]
+
+
+def _alexander_branch(a, b):
+    """Which case of ``_alexander_equal`` the pair reaches."""
+    if a.strands != 3 or b.strands != 3:
+        return "strands"
+    ka, kb = _packed_trace(a), _packed_trace(b)
+    if a.exponent_sum() != b.exponent_sum():
+        return "exponent sums, same packed trace" if ka == kb else "exponent sums"
+    if ka[:2] != kb[:2]:
+        return "low or width"
+    return "same packed trace" if ka == kb else "unequal integers"
+
+
+def test_alexander_equal_matches_the_polynomials():
+    rng = random.Random(22)
+
+    def word(strands, syllables, exponents):
+        letters = []
+        for _ in range(rng.randint(0, syllables)):
+            e = rng.choice(exponents)
+            letters += [(rng.randint(1, strands - 1), 1 if e > 0 else -1)] * abs(e)
+        return BraidWord(strands, tuple(letters))
+
+    # odd powers of the half twist have trace 0, so conjugates of them
+    # share packed traces across exponent sums
+    half = parse_word("s1 s2 s1")
+    twists = []
+    for _ in range(60):
+        k = rng.choice((-3, -1, 1, 3))
+        core = BraidWord(3, (half if k > 0 else half.inverse()).letters * abs(k))
+        twists.append(core.conjugated_by(word(3, 3, (-2, -1, 1, 2))))
+    pool = [word(3, 5, (-3, -2, -1, 1, 2, 3)) for _ in range(200)]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(pool, 2)
+        if a.exponent_sum() == b.exponent_sum() or _packed_trace(a) == _packed_trace(b)
+    ]
+    pairs += itertools.combinations(twists, 2)
+    pairs += [tuple(rng.sample(pool, 2)) for _ in range(200)]
+    # family pairs share their exponent sum; some walks end at other widths
+    pairs += [
+        family_words(FamilyParams(*[rng.randint(2, 24) for _ in range(3)])) for _ in range(100)
+    ]
+    pairs += [(word(n, 5, (-2, -1, 1, 2)), word(n, 5, (-2, -1, 1, 2))) for n in (2, 4, 5)]
+    reached = Counter()
+    for a, b in pairs:
+        reached[_alexander_branch(a, b)] += 1
+        assert _alexander_equal(a, b) == (alexander_polynomial(a) == alexander_polynomial(b))
+    assert set(reached) == {
+        "strands",
+        "exponent sums",
+        "exponent sums, same packed trace",
+        "low or width",
+        "unequal integers",
+        "same packed trace",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from braidcalc.templates import (
     per_component_beta_delta,
 )
 from braidcalc.words import MAX_STRANDS, BraidWord, format_word, parse_word
+from conftest import reference_instantiate
 
 FLYPE_NEG = flype_template(-1)
 
@@ -39,6 +42,28 @@ def test_empty_assignment_keeps_fixed_crossings_only():
     empty = {bid: BraidWord(2, ()) for bid in ("P", "Q", "R")}
     assert instantiate(FLYPE_NEG.plus, empty) == BraidWord(3, ((2, -1),))
     assert instantiate(FLYPE_NEG.minus, empty) == BraidWord(3, ((2, -1),))
+
+
+def test_instantiate_matches_letter_by_letter_reference():
+    rng = random.Random(22)
+    templates = [flype_template(sign) for sign in (1, -1)]
+    templates += [exchange_template(weight) for weight in (1, 2, 3)]
+    templates += [destabilize_template(sign, weight) for sign in (1, -1) for weight in (1, 2, 3)]
+    for template in templates:
+        for _ in range(20):
+            assignment = {}
+            for bid, width in template.block_widths().items():
+                letters = []
+                for _ in range(rng.randint(0, 4)):
+                    power = rng.choice((-3, -1, 1, 2, 5))
+                    letters += [(rng.randint(1, width - 1), 1 if power > 0 else -1)] * abs(power)
+                assignment[bid] = BraidWord(width, tuple(letters))
+            for sk in (template.plus, template.minus):
+                word = instantiate(sk, assignment)
+                assert word == reference_instantiate(sk, assignment)
+                # the block letters are shared: one object per distinct letter
+                shared = len(sk.items) + sum(len(set(w.letters)) for w in assignment.values())
+                assert len(set(map(id, word.letters))) <= shared
 
 
 def test_instantiate_errors():
