@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Union
 
-from .burau import Laurent, burau_matrix, trace
+from .burau import burau_matrix, burau_trace
 from .words import BraidWord
 
 __all__ = [
@@ -392,15 +392,11 @@ def _psl2z_class(word: BraidWord) -> tuple[str, ...]:
     return _su_class(m)
 
 
-def _char_poly_key(word: BraidWord) -> tuple[Laurent, Laurent]:
-    # the reduced Burau matrix of a 3-braid has determinant (-t)^(exponent sum)
-    e = word.exponent_sum()
-    return trace(burau_matrix(word)), Laurent.term(-1 if e % 2 else 1, e)
-
-
 _BATTERY_FUNCTIONS: dict[str, Callable[[BraidWord], object]] = {
     "exponent_sum": lambda w: w.exponent_sum(),
-    "burau_char_poly": _char_poly_key,
+    # a reduced 3-strand Burau matrix is 2x2 with determinant (-t)^e, so its
+    # trace and exponent sum e fix its characteristic polynomial
+    "burau_char_poly": lambda w: (burau_trace(w), w.exponent_sum()),
     "psl2z_class": _psl2z_class,
 }
 

@@ -19,20 +19,23 @@ The other is the Burau walk.  The reduced Burau matrix of a word on n
 strands is (n-1) x (n-1) and is built column by column, one syllable (a
 generator with its power, such as s1^5) at a time, on Kronecker-packed
 integers: each entry is shifted to a polynomial and held as its value at
-t = 2^w.  A letter is then a few shifts and adds of one or two integer
-columns, and a longer syllable is applied at once in O(log power) of
-them.  The word is walked in segments.  Each segment packs the entries
-once and unpacks them once at its end, at a digit width w proven by a
-bound on every coefficient that starts from the true coefficients and is
-carried per column through the segment's syllables, so no digit can have
-carried into the next.  A segment ends before its bound grows _ROOM_BITS
+t = 2^w.  A letter of a middle generator is then a few shifts and adds
+of two integer columns, and a longer syllable, or any syllable of the
+last generator, is applied at once in O(log power) of them.  The word
+is walked in segments.  Each segment packs the entries once and unpacks
+them once at its end, at a digit width w proven by a bound on every
+coefficient that starts from the true coefficients and is carried per
+column through the segment's syllables, so no digit can have carried
+into the next.  A segment ends before its bound grows _ROOM_BITS
 past where it began, or after _SEGMENT_SYLLABLES syllables, so words
 whose true coefficients stay small, such as periodic ones, keep narrow
 digits and short entries however long they are.  The last segment's
-entries stay packed until read: ``burau_matrix`` unpacks them all, and
-``burau_trace``, which is all the 3-strand Alexander polynomial needs,
-adds the two diagonal entries packed and unpacks only their sum, and
-``certify`` compares two such sums without unpacking them.
+entries stay packed until read: ``burau_matrix`` unpacks them all.
+``_packed_trace`` adds the two diagonal entries of a 3-strand walk
+while still packed; ``burau_trace``, which is all the 3-strand
+Alexander polynomial and the B3 oracle's char-poly battery need, unpacks
+only that sum, and ``certify`` compares two such sums through
+``_packed_trace`` without unpacking them.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "burau_matrix",
     "burau_trace",
     "determinant",
-    "trace",
 ]
 
 Matrix = tuple[tuple["Laurent", ...], ...]
@@ -139,10 +141,6 @@ class Laurent:
                 out[i:i + width] = map(add, out[i:i + width], [c * d for d in b])
         # Z is an integral domain: the end coefficients of a product are nonzero
         return Laurent(self.low + other.low, tuple(out))
-
-    def shift(self, k: int) -> Laurent:
-        """Multiply by t^k; the result shares the coefficient tuple."""
-        return Laurent(self.low + k, self.coeffs) if self.coeffs else _ZERO
 
     def divexact(self, divisor: Laurent) -> Laurent:
         """Exact quotient by long division from the top; raises ValueError
@@ -250,10 +248,6 @@ def _unpacked(value: int, low: int, nb: int) -> Laurent:
     return _trimmed(low + skip, digits)
 
 
-def trace(m: Matrix) -> Laurent:
-    return sum((m[i][i] for i in range(len(m))), Laurent.zero())
-
-
 # A segment of the Burau walk ends before the syllable that would take
 # its coefficient bound more than _ROOM_BITS past the bound after its
 # first syllable, or once it holds _SEGMENT_SYLLABLES syllables.  The
@@ -270,9 +264,12 @@ def _grow(bound: list[int], index: int, sign: int, power: int) -> None:
     ``bound[j]`` bounds the size of every coefficient in column j.  A
     letter sigma_i sends the bounds (x, y) of columns c, c1 to (2x + y, x),
     its inverse to (y, x + 2y); a syllable of k >= 3 letters adds k(x + y)
-    to both, as S_e has k coefficients of size 1.  The last generator, a
-    letter or a syllable, replaces or grows its column from the sum of all
-    the bounds.
+    to both, as S_e has k coefficients of size 1.  The last generator
+    replaces its column by the sum of all the bounds once per letter, or
+    for k >= 3 letters grows it by k times that sum.  ``_walk`` applies
+    all its syllables by the series rule, but a bound limits the product,
+    not the route that computes it, and for one or two letters the
+    per-letter bound is the tighter one, so it keeps digits narrower.
     """
     c = index - 1
     if index < len(bound):
@@ -351,19 +348,27 @@ def burau_matrix(word: BraidWord) -> Matrix:
 
 
 def burau_trace(word: BraidWord) -> Laurent:
-    """Trace of the reduced Burau matrix of a 3-strand ``word``.
+    """Trace of the reduced Burau matrix of a 3-strand ``word``; other
+    strand counts raise ValueError (see ``_packed_trace``)."""
+    return _unpacked(*_packed_trace(word))
 
-    The two diagonal entries are added while still packed, so only their
-    sum is unpacked.  It fits the walk's digits: ``_segment`` leaves two
-    bits over the largest bound, so every coefficient a, b of the two
-    entries has |a + b| <= 2*max(bound) < 2^(8*nb - 1), a signed digit.
-    Three or more diagonal entries would need more room, so other strand
-    counts raise ValueError.
+
+def _packed_trace(word: BraidWord) -> tuple[int, int, int]:
+    """The Burau trace of a 3-strand ``word`` as (value, low, nb) for ``_unpacked``.
+
+    The two diagonal entries are added while still packed.  Their sum
+    fits the walk's digits: ``_segment`` leaves two bits over the largest
+    bound, so every coefficient a, b of the two entries has |a + b| <=
+    2*max(bound) < 2^(8*nb - 1), a signed digit.  So two words whose
+    walks end at the same ``low`` and ``nb`` have equal traces exactly
+    when their values are equal, as signed digits are unique.  Three or
+    more diagonal entries would need more room, so other strand counts
+    raise ValueError.
     """
     if word.strands != 3:
         raise ValueError(f"burau_trace takes 3-strand words, not {word.strands}")
     cols, low, nb = _packed_walk(word)
-    return _unpacked(cols[0][0] + cols[1][1], low, nb)
+    return cols[0][0] + cols[1][1], low, nb
 
 
 def _packed_walk(word: BraidWord) -> tuple[list[list[int]], int, int]:
@@ -410,20 +415,17 @@ def _walk(
     w = 8*nb.  Multiplying by t is a shift left by w bits and dividing
     by t a shift right.  The shift is exact: while j inverse letters are
     still to come, no entry has a power of t below j.
-    Right-multiplying by a letter replaces one or two columns c, c1:
-    sigma_i gives c' = c - t*c + c1 and c1' = t*c; its inverse gives
-    c' = t^-1*c1 and c1' = c + c1 - t^-1*c1.  The last generator
-    replaces the last column by -(c_0 + ... + c_(m-2)) - t*c_(m-1), its
-    inverse by -t^-1 times the sum of all columns.
 
-    A syllable sigma_i^e with |e| >= 3 is applied at once.  Every
-    generator G satisfies (G - I)(G + t) = 0, so G^e = I + S_e (G - I)
-    with S_e = (1 - (-t)^e) / (1 + t).  For a middle generator the
-    columns of M (G - I) are d and -d with d = c1 - t*c, so c += S_e*d
-    and c1 -= S_e*d; for the last generator only the last column moves,
-    by S_e times d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).
-    The columns are returned packed, with the power of t their lowest
-    digit stands for.
+    Every generator G satisfies (G - I)(G + t) = 0, so G^e = I + S_e (G - I)
+    with S_e = (1 - (-t)^e) / (1 + t).  The last generator takes this one
+    rule at every power: only the last column moves, by S_e times
+    d = -(c_0 + ... + c_(m-2)) - (1 + t)*c_(m-1).  A middle generator
+    sigma_i moves two columns c, c1.  At |e| >= 3 the columns of M (G - I)
+    are d and -d with d = c1 - t*c, so c += S_e*d and c1 -= S_e*d.  One
+    or two letters are applied one at a time, which is faster there:
+    sigma_i gives c' = c - t*c + c1 and c1' = t*c; its inverse gives
+    c' = t^-1*c1 and c1' = c + c1 - t^-1*c1.  The columns are returned
+    packed, with the power of t their lowest digit stands for.
     """
     m = len(cols)
     w = 8 * nb
@@ -450,17 +452,11 @@ def _walk(
                     down = [y >> w for y in right]
                     left, right = down, [x + y - z for x, y, z in zip(left, right, down)]
             cols[c], cols[c + 1] = left, right
-        elif power >= 3:
+        else:
             cols[c] = [
                 x + _series_product(-(s + (x << w)), sign * power, w)
                 for x, s in zip(cols[c], map(sum, zip(*cols)))
             ]
-        else:
-            for _ in range(power):
-                if sign > 0:
-                    cols[c] = [-sum(rest) - (x << w) for x, *rest in zip(cols[c], *cols[:c])]
-                else:
-                    cols[c] = [-s >> w for s in map(sum, zip(*cols))]
     return cols, low - scale
 
 

@@ -21,7 +21,7 @@ from .b3 import (
     kolee_both_signs,
     normal_form,
 )
-from .burau import _packed_walk
+from .burau import _packed_trace
 from .links import alexander_polynomial
 from .templates import flype_template, instantiate, per_component_beta_delta
 from .words import BraidWord, format_word, parse_word, sigma_power
@@ -138,18 +138,13 @@ def _alexander_equal(a: BraidWord, b: BraidWord) -> bool:
 
     On 3 strands Delta * (1 + t + t^2) = 1 - tr + (-t)^e, so two words
     with the same exponent sum e and the same Burau trace have the same
-    polynomial.  When both packed walks end at the same ``low`` and digit
-    width, their packed diagonal sums are equal exactly when the traces
-    are, as signed digits are unique and the sums fit them (see
-    ``burau_trace``).  Every other case compares the polynomials, which
-    may be equal up to a unit although the traces differ.
+    polynomial.  Equal packed traces, at the same ``low`` and digit
+    width, are equal traces (see ``_packed_trace``).  Every other case
+    compares the polynomials, which may be equal up to a unit although
+    the traces differ.
     """
     if a.strands == b.strands == 3 and a.exponent_sum() == b.exponent_sum():
-        cols_a, low_a, nb_a = _packed_walk(a)
-        cols_b, low_b, nb_b = _packed_walk(b)
-        if (low_a, nb_a) == (low_b, nb_b) and (
-            cols_a[0][0] + cols_a[1][1] == cols_b[0][0] + cols_b[1][1]
-        ):
+        if _packed_trace(a) == _packed_trace(b):
             return True
     return alexander_polynomial(a) == alexander_polynomial(b)
 

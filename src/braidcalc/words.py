@@ -35,7 +35,7 @@ MAX_LETTERS = 1_000_000
 MAX_STRANDS = 500
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on ``strands`` strands."""
 

@@ -49,6 +49,11 @@ def laurent(terms: dict[int, int]) -> Laurent:
     return Laurent(low, tuple(terms.get(p, 0) for p in range(low, max(powers) + 1)))
 
 
+def matrix_trace(m: tuple[tuple[Laurent, ...], ...]) -> Laurent:
+    """The sum of the diagonal entries of a Laurent matrix."""
+    return sum((m[i][i] for i in range(len(m))), Laurent.zero())
+
+
 def coeff(poly: Laurent, power: int) -> int:
     i = power - poly.low
     return poly.coeffs[i] if 0 <= i < len(poly.coeffs) else 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +33,7 @@ from braidcalc.b3 import (
     _reduce_z2z3,
     _su_class,
 )
-from braidcalc.burau import burau_matrix
+from braidcalc.burau import Laurent, burau_matrix
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
 from conftest import (
@@ -41,6 +41,7 @@ from conftest import (
     _Y_EXP,
     braid_words_3,
     letter_normal_form,
+    matrix_trace,
     quotient_image,
     reduced_corpus,
     reference_classify_closure,
@@ -195,6 +196,40 @@ def test_reversal_pair_regression():
         REV_A, REV_B, invariant_batteries=("exponent_sum", "burau_char_poly")
     )
     assert partial == Unresolved()
+
+
+def test_char_poly_battery_separates_as_the_matrix_route():
+    """The ``burau_char_poly`` key (trace, exponent sum) against the
+    matrix route (trace of the Burau matrix, its determinant (-t)^e):
+    the same pairs separated, among seeded 3-strand words, planted
+    conjugates g w g^-1 of them, and conjugates of odd powers of the
+    half twist, whose traces are 0 whatever their exponent sums."""
+    rng = random.Random(24)
+
+    def word(syllables):
+        letters = []
+        for _ in range(rng.randint(0, syllables)):
+            power = rng.choice((1, -1)) * rng.randint(1, 4)
+            letters += sigma_power(3, rng.randint(1, 2), power).letters
+        return BraidWord(3, tuple(letters))
+
+    def matrix_key(w):
+        e = w.exponent_sum()
+        return matrix_trace(burau_matrix(w)), Laurent.term(-1 if e % 2 else 1, e)
+
+    words = [word(6) for _ in range(80)]
+    words += [w.conjugated_by(word(3)) for w in words[:40]]
+    half = parse_word("s1 s2 s1")
+    for k in (-3, -1, 1, 3):
+        core = BraidWord(3, (half if k > 0 else half.inverse()).letters * abs(k))
+        words += [core.conjugated_by(word(3)) for _ in range(5)]
+    keys = [(b3._BATTERY_FUNCTIONS["burau_char_poly"](w), matrix_key(w)) for w in words]
+    reached = Counter()
+    for (key_a, ref_a), (key_b, ref_b) in combinations(keys, 2):
+        assert (key_a != key_b) == (ref_a != ref_b)
+        reached[key_a[0] == key_b[0], key_a[1] == key_b[1]] += 1
+    # equal keys, and keys that differ in the trace, the exponent sum or both
+    assert len(reached) == 4
 
 
 def test_unresolved_is_honest_for_central_pair():

@@ -14,11 +14,10 @@ from braidcalc.burau import (
     burau_matrix,
     burau_trace,
     determinant,
-    trace,
 )
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
-from conftest import braid_words, coeff, laurent, syllable_words
+from conftest import braid_words, coeff, laurent, matrix_trace, syllable_words
 
 T = Laurent.term(1, 1)
 T_INV = Laurent.term(1, -1)
@@ -48,7 +47,6 @@ def test_laurent_arithmetic():
     assert p + q == laurent({-1: 2, 0: 1, 1: -1, 2: 3})
     assert p * p == laurent({0: 1, 1: -2, 2: 1})
     assert (p - p).is_zero()
-    assert p.shift(3) == laurent({3: 1, 4: -1})
     assert str(p) == "1 - t"
     assert str(Laurent.zero()) == "0"
     assert str(laurent({-2: 1, 0: -3, 1: 1})) == "t^-2 - 3 + t"
@@ -63,7 +61,7 @@ def test_divexact():
         laurent({1: 1}).divexact(den)
     with pytest.raises(ValueError):
         laurent({2: 1, 0: 1}).divexact(den)  # remainder 2
-    shifted = num.shift(-2)
+    shifted = num * Laurent.term(1, -2)
     assert shifted.divexact(den) == laurent({0: 1, -1: -1, -2: 1})
 
 
@@ -187,7 +185,8 @@ def test_full_twist_powers_are_scalar(n):
             )
     # one letter past the twists is t^(n*k) times the letter
     w = BraidWord(n, twist.letters * 400 + ((1, 1),))
-    shifted = tuple(tuple(x.shift(400 * n) for x in row) for row in _letter_matrix(n, 1, 1))
+    shift = Laurent.term(1, 400 * n)
+    shifted = tuple(tuple(x * shift for x in row) for row in _letter_matrix(n, 1, 1))
     assert burau_matrix(w) == shifted
 
 
@@ -265,7 +264,7 @@ def test_burau_matches_product_of_letter_matrices(w):
 @given(braid_words(min_strands=3, max_strands=3, max_length=8))
 def test_trace_is_conjugation_invariant(w):
     g = parse_word("n=3 s1 s2^-1")
-    assert trace(burau_matrix(w.conjugated_by(g))) == trace(burau_matrix(w))
+    assert matrix_trace(burau_matrix(w.conjugated_by(g))) == matrix_trace(burau_matrix(w))
 
 
 def _three_strand_words(rng, count, positive=False):
@@ -310,7 +309,7 @@ def test_burau_trace_matches_matrix_trace(monkeypatch, positive, short):
             for text in ("n=3 " + "s1 s2 " * 500, "n=3 " + "s1 s2^2 " * 300, "n=3 s1^4000 s2^4000")
         ]
     for w in words:
-        assert burau_trace(w) == trace(burau_matrix(w)), w
+        assert burau_trace(w) == matrix_trace(burau_matrix(w)), w
     # more than one segment per call on average
     assert not short or len(widths) > 2 * len(words)
 
@@ -375,8 +374,8 @@ def _assert_matches(poly, ref):
     assert poly.pairs == _ref_pairs(ref)
 
 
-@given(polys, polys, st.integers(min_value=-5, max_value=5))
-def test_dense_laurent_matches_dict_reference(a, b, k):
+@given(polys, polys)
+def test_dense_laurent_matches_dict_reference(a, b):
     p, q = laurent(a), laurent(b)
     _assert_matches(p, a)
     assert str(p) == _ref_str(a)
@@ -385,7 +384,6 @@ def test_dense_laurent_matches_dict_reference(a, b, k):
     _assert_matches(p - q, _ref_add(a, b, -1))
     _assert_matches(-p, {e: -c for e, c in a.items()})
     _assert_matches(p * q, _ref_mul(a, b))
-    _assert_matches(p.shift(k), {e + k: c for e, c in a.items()})
     assert all(coeff(p, e) == a.get(e, 0) for e in range(-8, 9))
     if not _ref(a):
         assert p.unit_normalized() == p

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.burau import _packed_walk
+from braidcalc.burau import _packed_trace
 from braidcalc.certify import (
     SWEEP_MAX,
     VERDICT_CERTIFIED,
@@ -92,11 +92,6 @@ def test_certify_conjugate_diagonal_fails_honestly():
     assert not forced.checks.conjugacy_distinct
 
 
-def _packed_trace(word):
-    cols, low, nb = _packed_walk(word)
-    return low, nb, cols[0][0] + cols[1][1]
-
-
 def _alexander_branch(a, b):
     """Which case of ``_alexander_equal`` the pair reaches."""
     if a.strands != 3 or b.strands != 3:
@@ -104,7 +99,7 @@ def _alexander_branch(a, b):
     ka, kb = _packed_trace(a), _packed_trace(b)
     if a.exponent_sum() != b.exponent_sum():
         return "exponent sums, same packed trace" if ka == kb else "exponent sums"
-    if ka[:2] != kb[:2]:
+    if ka[1:] != kb[1:]:
         return "low or width"
     return "same packed trace" if ka == kb else "unequal integers"
 

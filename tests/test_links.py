@@ -204,16 +204,17 @@ def _unreduced_burau(word: BraidWord):
     """sigma_i acts as the identity except for [[1-t, t], [1, 0]] at (i, i)."""
     n = word.strands
     one, zero = Laurent.one(), Laurent.zero()
+    t, t_inv = Laurent.term(1, 1), Laurent.term(1, -1)
     cols = [[one if i == j else zero for i in range(n)] for j in range(n)]
     for index, sign in word.letters:
         c = index - 1
         x, y = cols[c], cols[c + 1]
         if sign > 0:
-            cols[c] = [a - a.shift(1) + b for a, b in zip(x, y)]
-            cols[c + 1] = [a.shift(1) for a in x]
+            cols[c] = [a - a * t + b for a, b in zip(x, y)]
+            cols[c + 1] = [a * t for a in x]
         else:
-            cols[c] = [b.shift(-1) for b in y]
-            cols[c + 1] = [a + b - b.shift(-1) for a, b in zip(x, y)]
+            cols[c] = [b * t_inv for b in y]
+            cols[c + 1] = [a + b - b * t_inv for a, b in zip(x, y)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
