@@ -291,7 +291,18 @@ def classify_closure(nf: B3NormalForm) -> ClosureClass:
     sum e pins the candidates to s1^(e-mu) s2^mu for mu = +-1, each
     built as two syllables, never as letters.  Everything else closes
     to a link with a unique class.
+
+    A shape test comes first.  A candidate's image is (Y2 X)^k or
+    (X Y)^|k|, all of one Y letter, followed by the single Y letter of
+    s2^mu's X Y2 or Y X; free and cyclic reduction change letters only
+    where the two syllables meet.  So a candidate's cyclic word holds at
+    most one "Y" or at most one "Y2" (the tests check every candidate
+    with 1 <= |k| <= 2000), and a word with more than one of each
+    matches neither candidate.
     """
+    word = nf.cyclic_word
+    if word.count("Y") > 1 and word.count("Y2") > 1:
+        return GenericUnique()
     e = nf.exponent_sum
     for mu in (1, -1):
         k = e - mu

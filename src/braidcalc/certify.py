@@ -182,8 +182,13 @@ def certify(params: FamilyParams) -> CertificationReport:
     return CertificationReport(params, tx_plus, tx_minus, checks, verdict(params, checks))
 
 
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _field_values(obj) -> Dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def verdict(params: FamilyParams, checks: CertificationChecks) -> str:
@@ -200,8 +205,8 @@ def verdict(params: FamilyParams, checks: CertificationChecks) -> str:
 
 # The largest bound ``sweep`` takes on each of p, q and r.  A sweep holds
 # every report and its time grows faster than the cube of its bounds: on
-# a shared 2-core host, --max 16 takes about 1.2-1.5 s and --max 24,
-# which certifies 11 154 triples, about 5-6 s.
+# a shared 2-core host, --max 16 takes about 1 s and --max 24, which
+# certifies 11 154 triples, about 3-4 s.
 SWEEP_MAX = 24
 
 

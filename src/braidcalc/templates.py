@@ -11,6 +11,7 @@ Every failure, from a malformed skeleton to ports that do not glue, is a
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from dataclasses import dataclass
@@ -153,6 +154,11 @@ def instantiate(sk: BlockSkeleton, a: Mapping[str, BraidWord]) -> BraidWord:
     start position minus one; fixed crossings are kept in order.  A word
     of more than ``words.MAX_LETTERS`` letters is refused before any
     letter is built.
+
+    The letters are not checked again: ``BlockSkeleton`` checked that
+    every crossing and every slot fits its strands, and ``_block_word``
+    that each block's word has the slot's width, so a shifted block
+    letter stays inside its slot.
     """
     fills = {slot.block_id: _block_word(a, slot) for slot in sk.block_slots()}
     length = len(sk.items) - len(fills) + sum(map(len, fills.values()))
@@ -170,7 +176,7 @@ def instantiate(sk: BlockSkeleton, a: Mapping[str, BraidWord]) -> BraidWord:
         block = fills[item.block_id].letters
         table = {letter: (letter[0] + shift, letter[1]) for letter in set(block)}
         letters.extend(map(table.__getitem__, block))
-    return BraidWord(sk.strands, tuple(letters))
+    return words._derived(sk.strands, tuple(letters))
 
 
 def _check_weight(kind: str, weight: int) -> None:
@@ -210,8 +216,12 @@ def exchange_template(weight: int = 1) -> Template:
     return Template(side(1), side(-1), (("P", PORT_FIXED), ("Q", PORT_FIXED)))
 
 
+@functools.cache
 def flype_template(sign: int) -> Template:
-    """Turn the middle tangle half a turn past one crossing."""
+    """Turn the middle tangle half a turn past one crossing.
+
+    Each sign's template is built once; a bad sign raises on every call.
+    """
     if sign not in (1, -1):
         raise TemplateError(f"flype sign must be +-1, got {sign}")
     plus = BlockSkeleton(

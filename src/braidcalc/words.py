@@ -97,6 +97,21 @@ class BraidWord:
         return self.exponent_sum() - self.strands
 
 
+def _derived(strands: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
+    """A word built from letters already known to fit ``strands``.
+
+    Only the strand count is checked; the letter scan of
+    ``BraidWord.__post_init__`` is skipped.  Callers state why their
+    letters are in range.
+    """
+    if not 1 <= strands <= MAX_STRANDS:
+        raise ValueError(f"strands must be in 1..{MAX_STRANDS}, got {strands}")
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def _common_strands(left: BraidWord, right: BraidWord) -> int:
     """The strand count of a product of the two words."""
     if left.strands != right.strands:
@@ -108,8 +123,11 @@ def sigma_power(strands: int, index: int, power: int) -> BraidWord:
     """sigma_index^power as a word on ``strands`` strands."""
     if abs(power) > MAX_LETTERS:
         raise ValueError(f"s{index}^{power} has more than {MAX_LETTERS} letters")
-    sign = 1 if power >= 0 else -1
-    return BraidWord(strands, ((index, sign),) * abs(power))
+    if not power:
+        return BraidWord(strands, ())
+    # the one checked letter is every letter of the word
+    letter = BraidWord(strands, ((index, 1 if power > 0 else -1),)).letters
+    return _derived(strands, letter * abs(power))
 
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
@@ -164,10 +182,10 @@ def format_word(word: BraidWord) -> str:
     >>> format_word(parse_word("s1 s1 s1 s2^-1"))
     's1^3 s2^-1'
     """
-    runs: list[str] = []
-    for (index, sign), group in groupby(word.letters):
-        power = len(list(group)) * sign
-        runs.append(f"s{index}" + (f"^{power}" if power != 1 else ""))
-    inferred = max((i for i, _ in word.letters), default=0) + 1
-    prefix = [f"n={word.strands}"] if word.strands != inferred else []
-    return " ".join(prefix + runs)
+    runs = [(letter, len(list(group))) for letter, group in groupby(word.letters)]
+    inferred = max((index for (index, _), _ in runs), default=0) + 1
+    out = [f"n={word.strands}"] if word.strands != inferred else []
+    for (index, sign), k in runs:
+        power = k * sign
+        out.append(f"s{index}" + (f"^{power}" if power != 1 else ""))
+    return " ".join(out)

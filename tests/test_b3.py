@@ -150,6 +150,17 @@ def test_classify_torus():
             assert classify_closure(normal_form(w)) == TorusKnot2k(k, mu), (k, mu)
 
 
+def test_exceptional_candidates_fail_the_shape_test():
+    """Every candidate s1^k s2^mu of ``classify_closure`` has at most one
+    "Y" or at most one "Y2" in its cyclic word, so the shape test that
+    returns ``GenericUnique`` early never skips an exceptional class."""
+    for k in [*range(-2000, 0), *range(1, 2001)]:
+        for mu in (1, -1):
+            nf = b3._syllable_normal_form((((1, 1 if k > 0 else -1), abs(k)), ((2, mu), 1)))
+            assert nf.cyclic_word.count("Y") <= 1 or nf.cyclic_word.count("Y2") <= 1, (k, mu)
+            assert not isinstance(classify_closure(nf), GenericUnique), (k, mu)
+
+
 def test_classify_generic():
     assert classify_closure(normal_form(TX_PLUS)) == GenericUnique()
     assert classify_closure(normal_form(TX_MINUS)) == GenericUnique()

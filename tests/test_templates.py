@@ -22,7 +22,7 @@ from braidcalc.templates import (
     parse_template_description,
     per_component_beta_delta,
 )
-from braidcalc.words import MAX_STRANDS, BraidWord, format_word, parse_word
+from braidcalc.words import MAX_STRANDS, BraidWord, format_word, parse_word, sigma_power
 from conftest import reference_instantiate
 
 FLYPE_NEG = flype_template(-1)
@@ -64,6 +64,42 @@ def test_instantiate_matches_letter_by_letter_reference():
                 # the block letters are shared: one object per distinct letter
                 shared = len(sk.items) + sum(len(set(w.letters)) for w in assignment.values())
                 assert len(set(map(id, word.letters))) <= shared
+
+
+def test_derived_words_equal_checked_construction():
+    """``instantiate`` and ``sigma_power`` skip the letter scan; on seeded
+    inputs their words equal the same letters built through the checked
+    constructor, which raises on a letter out of range."""
+    rng = random.Random(25)
+    templates = [flype_template(sign) for sign in (1, -1)]
+    templates += [exchange_template(weight) for weight in (1, 2, 4)]
+    templates += [destabilize_template(sign, weight) for sign in (1, -1) for weight in (1, 3)]
+    derived = []
+    for template in templates:
+        for _ in range(20):
+            assignment = {
+                bid: BraidWord(width, tuple(
+                    (rng.randint(1, width - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))
+                ))
+                for bid, width in template.block_widths().items()
+            }
+            derived += [instantiate(sk, assignment) for sk in (template.plus, template.minus)]
+    for _ in range(200):
+        strands = rng.randint(2, 9)
+        derived.append(sigma_power(strands, rng.randint(1, strands - 1), rng.randint(-40, 40)))
+    for word in derived:
+        assert word == BraidWord(word.strands, word.letters)
+
+
+def test_flype_template_is_built_once():
+    assert flype_template(-1) is flype_template(-1)
+    assert flype_template(1) is not flype_template(-1)
+    for _ in range(2):
+        with pytest.raises(TemplateError, match="flype sign must be"):
+            flype_template(2)
+    # the cache wrapper keeps the signature that descriptions are bound to
+    with pytest.raises(TemplateError, match="bad params for flype: "):
+        parse_template_description('{"kind": "flype", "params": {"sign": -1, "turns": 2}}')
 
 
 def test_instantiate_errors():

@@ -50,6 +50,9 @@ def test_format_collects_powers():
     assert format_word(parse_word("n=4 s1")) == "n=4 s1"
     assert format_word(BraidWord(1, ())) == ""
     assert format_word(BraidWord(3, ())) == "n=3"
+    # the highest generator need not be in the last syllable
+    assert format_word(parse_word("s3 s1^2")) == "s3 s1^2"
+    assert format_word(parse_word("n=5 s3 s1^2")) == "n=5 s3 s1^2"
 
 
 def test_inverse_frozen():
@@ -105,6 +108,10 @@ def test_rotations():
 def test_sigma_power():
     assert sigma_power(3, 2, -3) == parse_word("n=3 s2^-3")
     assert sigma_power(3, 1, 0) == BraidWord(3, ())
+    # the one letter is checked only when the word has letters
+    assert sigma_power(2, 5, 0) == BraidWord(2, ())
+    with pytest.raises(ValueError, match="generator index 5 out of range for 2 strands"):
+        sigma_power(2, 5, 3)
 
 
 def test_letter_cap(monkeypatch):
