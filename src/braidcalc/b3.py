@@ -342,7 +342,10 @@ class Unresolved:
 
 OracleOutcome = Union[Conjugate, NotConjugate, Unresolved]
 
-DEFAULT_BATTERIES = ("exponent_sum", "burau_char_poly", "psl2z_class")
+# the oracle's invariant batteries, in the order it runs them, and the
+# longest conjugator it searches for
+BATTERIES = ("exponent_sum", "burau_char_poly", "psl2z_class")
+CONJUGATOR_BOUND = 6
 
 # reduced Burau generators at t = -1: integer matrices whose classes in
 # PSL2(Z) realize the central quotient (the full twist maps to -identity)
@@ -446,7 +449,8 @@ def _fp_of_word(letters: tuple[tuple[int, int], ...]) -> tuple[int, int, int, in
     return m
 
 
-# perfbench/spans.py reads this cache's cache_info(), so it keeps its name and lru_cache
+# perfbench/spans.py reads this cache's cache_info(), so it keeps its name and
+# lru_cache; the bound stays in the key, so no walk is reused at another bound
 @lru_cache(maxsize=16)
 def _conjugation_ball(
     w1: tuple[tuple[int, int], ...], w2: tuple[tuple[int, int], ...], bound: int
@@ -479,28 +483,22 @@ def _conjugation_ball(
     return None
 
 
-def brute_force_conjugacy_oracle(
-    w1: BraidWord,
-    w2: BraidWord,
-    conjugator_bound: int = 6,
-    invariant_batteries: tuple[str, ...] = DEFAULT_BATTERIES,
-) -> OracleOutcome:
+def brute_force_conjugacy_oracle(w1: BraidWord, w2: BraidWord) -> OracleOutcome:
     """Independent conjugacy decision for 3-strand words.
 
-    Runs the invariant batteries in order and reports ``NotConjugate``
-    naming the first one that separates the words.  Otherwise searches
-    the freely reduced conjugators up to the length bound, shortest
-    first, and stops at the first one verified; a fingerprint hit is
-    confirmed by exact Burau-matrix equality (faithful on three strands),
-    so a returned certificate is always valid.  ``Unresolved`` means the
-    bounded search ended without a certificate.
+    Runs the invariant batteries of ``BATTERIES`` in order and reports
+    ``NotConjugate`` naming the first one that separates the words.
+    Otherwise searches the freely reduced conjugators up to
+    ``CONJUGATOR_BOUND`` letters, shortest first, and stops at the first
+    one verified; a fingerprint hit is confirmed by exact Burau-matrix
+    equality (faithful on three strands), so a returned certificate is
+    always valid.  ``Unresolved`` means the bounded search ended without
+    a certificate.
     """
     if w1.strands != 3 or w2.strands != 3:
         raise ValueError("oracle works on 3-strand words only")
-    for name in invariant_batteries:
-        if name not in _BATTERY_FUNCTIONS:
-            raise ValueError(f"unknown battery {name!r}")
+    for name in BATTERIES:
         if _battery_key(name, w1.letters) != _battery_key(name, w2.letters):
             return NotConjugate(name)
-    g = _conjugation_ball(w1.letters, w2.letters, conjugator_bound)
+    g = _conjugation_ball(w1.letters, w2.letters, CONJUGATOR_BOUND)
     return Unresolved() if g is None else Conjugate(g)

@@ -60,9 +60,6 @@ class FamilyParams:
             found.append("p+1 = q")
         return tuple(found)
 
-    def admissible(self) -> bool:
-        return not self.violations()
-
 
 @dataclass(frozen=True)
 class ObstructionChecks:
@@ -107,20 +104,16 @@ class CertificationReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def family_assignment(params: FamilyParams) -> Dict[str, BraidWord]:
-    """Braiding assignment putting the family's twist regions in the blocks."""
-    return {
+def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
+    """The flype pair at (p, q, r): exponents (2p+1, 2q, 2r) and one
+    negative crossing, as instantiations of the negative-flype template
+    with the family's twist regions in its blocks."""
+    template = flype_template(-1)
+    assignment = {
         "P": sigma_power(2, 1, 2 * params.p + 1),
         "R": sigma_power(2, 1, 2 * params.q),
         "Q": sigma_power(2, 1, 2 * params.r),
     }
-
-
-def family_words(params: FamilyParams) -> Tuple[BraidWord, BraidWord]:
-    """The flype pair at (p, q, r): exponents (2p+1, 2q, 2r) and one
-    negative crossing, as instantiations of the negative-flype template."""
-    template = flype_template(-1)
-    assignment = family_assignment(params)
     return instantiate(template.plus, assignment), instantiate(template.minus, assignment)
 
 
@@ -221,7 +214,7 @@ def sweep(p_max: int, q_max: int, r_max: int) -> List[CertificationReport]:
         for q in range(2, q_max + 1):
             for r in range(2, r_max + 1):
                 params = FamilyParams(p, q, r)
-                if params.admissible():
+                if not params.violations():
                     reports.append(certify(params))
     return reports
 

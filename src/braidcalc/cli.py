@@ -103,8 +103,6 @@ def _cmd_conjugate(args: argparse.Namespace) -> Result:
 
     first = _word_argument(args.word1, args.n)
     second = _word_argument(args.word2, args.n)
-    if first.strands != 3 or second.strands != 3:
-        raise UsageError("conjugate requires three-strand words")
     nf1, nf2 = normal_form(first), normal_form(second)
     payload = {"conjugate": nf1 == nf2, "normal_form_1": str(nf1), "normal_form_2": str(nf2)}
     lines = [
@@ -119,8 +117,6 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
     from .b3 import TorusKnot2k, UnknotClass, classify_closure, normal_form
 
     word = _word_argument(args.word, args.n)
-    if word.strands != 3:
-        raise UsageError("classify requires a three-strand word")
     result = classify_closure(normal_form(word))
     if isinstance(result, UnknotClass):
         payload = {"class": "unknot", "tag": list(result.tag)}

@@ -95,9 +95,6 @@ class BlockSkeleton:
     def block_slots(self) -> Tuple[BlockSlot, ...]:
         return tuple(i for i in self.items if isinstance(i, BlockSlot))
 
-    def block_ids(self) -> frozenset:
-        return frozenset(slot.block_id for slot in self.block_slots())
-
 
 @dataclass(frozen=True)
 class Template:
@@ -115,19 +112,15 @@ class Template:
     port_map: Tuple[Tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        ids = self.plus.block_ids()
-        if ids != self.minus.block_ids():
-            raise TemplateError("plus and minus sides use different block sets")
-        mapped = {bid for bid, _ in self.port_map}
-        if mapped != set(ids):
+        # equal {block_id: width} maps mean equal block sets as well
+        widths = self.block_widths()
+        if widths != {s.block_id: s.width for s in self.minus.block_slots()}:
+            raise TemplateError("plus and minus sides need the same blocks with the same widths")
+        if {bid for bid, _ in self.port_map} != widths.keys():
             raise TemplateError("port_map must cover exactly the template's blocks")
         for bid, mode in self.port_map:
             if mode not in (PORT_FIXED, PORT_ROTATED):
                 raise TemplateError(f"unknown port map mode {mode!r} for block {bid!r}")
-        widths_p = {s.block_id: s.width for s in self.plus.block_slots()}
-        widths_m = {s.block_id: s.width for s in self.minus.block_slots()}
-        if widths_p != widths_m:
-            raise TemplateError("block widths differ between the two sides")
 
     def block_widths(self) -> Dict[str, int]:
         return {s.block_id: s.width for s in self.plus.block_slots()}

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator
 
 __all__ = [
     "BraidWord",
@@ -55,9 +54,6 @@ class BraidWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         return BraidWord(_common_strands(self, other), self.letters + other.letters)

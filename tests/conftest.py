@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from braidcalc.b3 import (
     _BATTERY_FUNCTIONS,
     _FP_GENS,
-    DEFAULT_BATTERIES,
+    BATTERIES,
     B3NormalForm,
     ClosureClass,
     Conjugate,
@@ -396,7 +396,7 @@ def reference_conjugacy_oracle(
     w1: BraidWord,
     w2: BraidWord,
     conjugator_bound: int = 6,
-    invariant_batteries: tuple[str, ...] = DEFAULT_BATTERIES,
+    invariant_batteries: tuple[str, ...] = BATTERIES,
 ) -> OracleOutcome:
     """``b3.brute_force_conjugacy_oracle`` by the full fingerprint index."""
     if w1.strands != 3 or w2.strands != 3:

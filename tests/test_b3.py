@@ -192,20 +192,15 @@ def test_oracle_exponent_sum_witness():
 def test_oracle_requires_three_strands():
     with pytest.raises(ValueError):
         brute_force_conjugacy_oracle(parse_word("n=2 s1"), parse_word("n=2 s1"))
-    with pytest.raises(ValueError):
-        brute_force_conjugacy_oracle(
-            parse_word("n=3 s1"), parse_word("n=3 s2"), invariant_batteries=("nope",)
-        )
 
 
-def test_reversal_pair_regression():
+def test_reversal_pair_regression(monkeypatch):
     """Chiral pair: char-poly battery alone cannot separate it."""
     assert not conjugate_in_B3(REV_A, REV_B)
     full = brute_force_conjugacy_oracle(REV_A, REV_B)
     assert full == NotConjugate("psl2z_class")
-    partial = brute_force_conjugacy_oracle(
-        REV_A, REV_B, invariant_batteries=("exponent_sum", "burau_char_poly")
-    )
+    monkeypatch.setattr(b3, "BATTERIES", ("exponent_sum", "burau_char_poly"))
+    partial = brute_force_conjugacy_oracle(REV_A, REV_B)
     assert partial == Unresolved()
 
 
@@ -243,13 +238,13 @@ def test_char_poly_battery_separates_as_the_matrix_route():
     assert len(reached) == 4
 
 
-def test_unresolved_is_honest_for_central_pair():
+def test_unresolved_is_honest_for_central_pair(monkeypatch):
     # with the exponent-sum battery removed, the full twist and the empty
     # word share their quotient class but are not conjugate: the bounded
     # search must come back empty-handed
-    out = brute_force_conjugacy_oracle(
-        DELTA_SQ, BraidWord(3, ()), conjugator_bound=3, invariant_batteries=("psl2z_class",)
-    )
+    monkeypatch.setattr(b3, "CONJUGATOR_BOUND", 3)
+    monkeypatch.setattr(b3, "BATTERIES", ("psl2z_class",))
+    out = brute_force_conjugacy_oracle(DELTA_SQ, BraidWord(3, ()))
     assert out == Unresolved()
 
 
@@ -272,11 +267,13 @@ def test_oracle_stops_at_first_verified_conjugator(monkeypatch):
     assert calls < 100
 
 
-def test_oracle_matches_full_ball_reference():
+def test_oracle_matches_full_ball_reference(monkeypatch):
     """Same outcome type, conjugator letters and witness as the full-ball
     oracle: planted pairs g w g^-1 with |g| <= 3 (g = () included), random
     corpus pairs, and pairs of equal exponent sum under that battery
-    alone, which mostly walk the whole ball to ``Unresolved``."""
+    alone, which mostly walk the whole ball to ``Unresolved``.  The
+    oracle reads its bound and batteries from ``b3``'s constants."""
+    all_batteries = b3.BATTERIES
     corpus = reduced_corpus(6)
     short = [g for g in corpus if len(g) <= 3]
     by_sum: dict[int, list[BraidWord]] = {}
@@ -287,7 +284,7 @@ def test_oracle_matches_full_ball_reference():
     for k in range(1200):
         bound = (-1, 0, 3, 6)[k % 4]
         w1 = rng.choice(corpus)
-        batteries = b3.DEFAULT_BATTERIES
+        batteries = all_batteries
         if k % 3 == 0:
             w2 = w1.conjugated_by(rng.choice(short))
         elif k % 3 == 1:
@@ -295,8 +292,10 @@ def test_oracle_matches_full_ball_reference():
         else:
             batteries = ("exponent_sum",)
             w2 = rng.choice(by_sum[w1.exponent_sum()])
+        monkeypatch.setattr(b3, "CONJUGATOR_BOUND", bound)
+        monkeypatch.setattr(b3, "BATTERIES", batteries)
+        out = brute_force_conjugacy_oracle(w1, w2)
         args = (w1, w2, bound, batteries)
-        out = brute_force_conjugacy_oracle(*args)
         assert out == reference_conjugacy_oracle(*args), args
         seen[type(out).__name__, bound] += 1
     for bound in (-1, 0, 3, 6):
@@ -463,7 +462,7 @@ def test_two_routes_agree(w1: BraidWord, w2: BraidWord):
 @given(braid_words_3(max_length=5), braid_words_3(max_length=3))
 def test_oracle_agrees_with_normal_form(w: BraidWord, g: BraidWord):
     w2 = w.conjugated_by(g).free_reduced()
-    out = brute_force_conjugacy_oracle(w, w2, conjugator_bound=4)
+    out = brute_force_conjugacy_oracle(w, w2)
     if isinstance(out, Conjugate):
         assert conjugate_in_B3(w, w2)
         assert burau_matrix(w.conjugated_by(out.conjugator)) == burau_matrix(w2)

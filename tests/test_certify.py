@@ -53,10 +53,10 @@ def test_family_beta_formula():
 
 
 def test_admissibility():
-    assert FamilyParams(2, 4, 3).admissible()
-    assert not FamilyParams(2, 3, 3).admissible()
-    assert not FamilyParams(1, 3, 4).admissible()
-    assert not FamilyParams(2, 3, 4).admissible()  # p+1 = q
+    assert not FamilyParams(2, 4, 3).violations()
+    assert FamilyParams(2, 3, 3).violations()
+    assert FamilyParams(1, 3, 4).violations()
+    assert FamilyParams(2, 3, 4).violations() == ("p+1 = q",)
     assert FamilyParams(2, 3, 3).violations()[0] == "q = r"
     assert FamilyParams(1, 3, 4).violations()[0] == "p <= 1"
 
@@ -181,7 +181,7 @@ def test_sweep_small_bounds():
         for p in (2, 3)
         for q in (2, 3)
         for r in (2, 3)
-        if FamilyParams(p, q, r).admissible()
+        if not FamilyParams(p, q, r).violations()
     ]
     assert [(rep.params.p, rep.params.q, rep.params.r) for rep in reports] == admissible
     assert all(rep.certified for rep in reports)

@@ -304,6 +304,20 @@ EXCHANGE_HEAD = '"initial_word": "n=3 s1^2 s2 s1^-1 s2^-1", "mode": "topological
             id="tower-destabilize-not-applicable",
         ),
         pytest.param(
+            ["tower-validate", "{tmp}/t.json"],
+            {"t.json": '{"moves": [{"kind": "twist"}], %s}' % TOWER_HEAD},
+            "bad tower description: move 0 has unknown kind 'twist'",
+            id="tower-unknown-kind",
+        ),
+        pytest.param(
+            ["conjugate", "s1", "s2"], {}, "need exactly 3 strands, got 2",
+            id="conjugate-not-three-strands",
+        ),
+        pytest.param(
+            ["classify", "n=4 s1"], {}, "need exactly 3 strands, got 4",
+            id="classify-not-three-strands",
+        ),
+        pytest.param(
             ["components", "n=3 s1^99999999999999999999"], {},
             "word too long at 's1^99999999999999999999': more than 1000000 letters",
             id="word-huge-exponent",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import braidcalc.moves as moves_module
 import braidcalc.words as words
 from braidcalc.links import alexander_polynomial, components
 from braidcalc.moves import (
@@ -202,6 +203,23 @@ def test_tower_unknown_mode_only_after_the_moves_apply():
         validate_tower("smooth", w, (Destabilize(1),))
     with pytest.raises(ValueError, match="^unknown mode 'smooth'$"):
         validate_tower("smooth", w, (Stabilize(1),))
+
+
+def test_tower_unknown_move_kind():
+    text = '{"mode": "topological", "initial_word": "n=2 s1", "moves": [{"kind": "twist"}]}'
+    _, _, moves = tower_from_json(text)
+    with pytest.raises(ValueError) as info:
+        next(moves)
+    assert str(info.value) == "move 0 has unknown kind 'twist'"
+
+
+def test_bennequin_identity_is_checked(monkeypatch):
+    """The identity holds for every real tower, so the check is shown live
+    by moves whose foliation counts are taken away."""
+    monkeypatch.setattr(moves_module, "_counts_for", lambda move: (0, 0, 0, 0))
+    result = validate_tower("topological", parse_word("n=2 s1"), (Stabilize(-1),))
+    assert result.problems == (("bennequin_identity", 1),)
+    assert not result.ok
 
 
 def _random_tower(rng: random.Random) -> tuple[str, BraidWord, tuple]:

@@ -189,6 +189,61 @@ def test_skeleton_validation():
         destabilize_template(2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Crossing(0, 1), "crossing index must be >= 1, got 0", id="index"),
+        pytest.param(lambda: Crossing(1, 2), "crossing sign must be +-1, got 2", id="sign"),
+        pytest.param(
+            lambda: BlockSlot("", 1, 2), "block_id must be a nonempty string", id="block-id"
+        ),
+        pytest.param(lambda: BlockSlot("P", 0, 2), "start_position must be >= 1", id="start"),
+        pytest.param(lambda: BlockSkeleton(0, ()), "strands must be >= 1, got 0", id="strands"),
+        pytest.param(
+            lambda: BlockSkeleton(3, ("x",)), "unknown skeleton item 'x'", id="skeleton-item"
+        ),
+        pytest.param(
+            lambda: Template(FLYPE_NEG.plus, FLYPE_NEG.minus, (("P", "fixed"), ("Q", "fixed"))),
+            "port_map must cover exactly the template's blocks",
+            id="port-map-misses-a-block",
+        ),
+        pytest.param(
+            lambda: Template(
+                FLYPE_NEG.plus, FLYPE_NEG.minus, (("P", "fixed"), ("Q", "fixed"), ("R", "twisted"))
+            ),
+            "unknown port map mode 'twisted' for block 'R'",
+            id="port-map-mode",
+        ),
+        pytest.param(
+            lambda: Template(
+                BlockSkeleton(3, (BlockSlot("P", 1, 2),)),
+                BlockSkeleton(3, (BlockSlot("P", 1, 3),)),
+                (("P", "fixed"),),
+            ),
+            "plus and minus sides need the same blocks with the same widths",
+            id="block-widths",
+        ),
+        pytest.param(
+            # the third strand touches no block port
+            lambda: component_correspondence(
+                Template(
+                    BlockSkeleton(3, (BlockSlot("P", 1, 2),)),
+                    BlockSkeleton(3, (BlockSlot("P", 1, 2),)),
+                    (("P", "fixed"),),
+                ),
+                {"P": parse_word("s1")},
+            ),
+            "a closure component touches no block port",
+            id="component-without-port",
+        ),
+    ],
+)
+def test_template_errors_name_the_fault(build, message):
+    with pytest.raises(TemplateError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_obstruction_table_frozen():
     # the two-component link where the flype swaps the component invariants
     assert per_component_beta_delta(FLYPE_NEG, LINK_ASSIGNMENT) == [
