@@ -248,11 +248,18 @@ def _least_cyclic_word(runs: deque[int], head: int, tail: int, top: int) -> tupl
 def conjugate_in_B3(w1: BraidWord, w2: BraidWord) -> bool:
     """Decide conjugacy of two 3-strand words.
 
+    Conjugation keeps the exponent sum, and the sum is the first field
+    of `B3NormalForm`, so words whose sums differ are not conjugate and
+    the normal forms are built only when the sums agree.
+
     >>> from .words import parse_word
     >>> conjugate_in_B3(parse_word("n=3 s1 s2"), parse_word("n=3 s2 s1"))
     True
     """
-    return normal_form(w1) == normal_form(w2)
+    for word in (w1, w2):
+        if word.strands != 3:
+            raise ValueError(f"need exactly 3 strands, got {word.strands}")
+    return w1.exponent_sum() == w2.exponent_sum() and normal_form(w1) == normal_form(w2)
 
 
 # ---------------------------------------------------------------------------

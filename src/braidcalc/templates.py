@@ -116,11 +116,15 @@ class Template:
         widths = self.block_widths()
         if widths != {s.block_id: s.width for s in self.minus.block_slots()}:
             raise TemplateError("plus and minus sides need the same blocks with the same widths")
-        if {bid for bid, _ in self.port_map} != widths.keys():
-            raise TemplateError("port_map must cover exactly the template's blocks")
+        named = set()
         for bid, mode in self.port_map:
+            if bid in named:
+                raise TemplateError(f"port_map names block {bid!r} more than once")
+            named.add(bid)
             if mode not in (PORT_FIXED, PORT_ROTATED):
                 raise TemplateError(f"unknown port map mode {mode!r} for block {bid!r}")
+        if named != widths.keys():
+            raise TemplateError("port_map must cover exactly the template's blocks")
 
     def block_widths(self) -> Dict[str, int]:
         return {s.block_id: s.width for s in self.plus.block_slots()}

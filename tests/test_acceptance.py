@@ -102,7 +102,8 @@ def test_conjugacy_matches_oracle_on_sampled_pairs():
 
 @pytest.mark.slow
 def test_conjugacy_matches_oracle_exhaustively():
-    # conjugate_in_B3 is normal-form equality, so precomputing one form
+    # conjugate_in_B3 is decided by normal forms once the exponent sums
+    # agree, and equal forms have equal sums, so precomputing one form
     # per corpus word covers every pair; Conjugate outcomes additionally
     # go back through the public decision function.
     corpus = reduced_corpus(6)

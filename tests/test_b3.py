@@ -134,6 +134,49 @@ def test_conjugate_in_B3_basic():
     assert not conjugate_in_B3(parse_word("n=3 s1"), parse_word("n=3 s1^-1"))
 
 
+def _random_b3_word(rng: random.Random, max_length: int) -> BraidWord:
+    return BraidWord(3, tuple(rng.choice(_B3_LETTERS) for _ in range(rng.randint(0, max_length))))
+
+
+def test_conjugate_in_B3_is_normal_form_equality():
+    rng = random.Random(2701)
+    answers = Counter()
+    for i in range(1500):
+        g = _random_b3_word(rng, 6)
+        if i % 3 == 0:
+            w1, w2 = _random_b3_word(rng, 30), _random_b3_word(rng, 30)
+        elif i % 3 == 1:
+            w1 = _random_b3_word(rng, 30)
+            w2 = w1.conjugated_by(g)
+        else:
+            # equal exponent sums, different classes
+            w1 = TX_PLUS.conjugated_by(_random_b3_word(rng, 6))
+            w2 = TX_MINUS.conjugated_by(g)
+        expected = normal_form(w1) == normal_form(w2)
+        assert conjugate_in_B3(w1, w2) == expected, (str(w1), str(w2))
+        answers[w1.exponent_sum() == w2.exponent_sum(), expected] += 1
+    # every kind of pair was drawn: unequal sums, and equal sums both ways
+    assert answers[False, False] and answers[True, True] and answers[True, False], answers
+
+
+def test_conjugate_in_B3_skips_normal_forms_for_unequal_sums(monkeypatch):
+    def refuse(word):
+        raise AssertionError(f"normal form built for {word}")
+
+    monkeypatch.setattr(b3, "normal_form", refuse)
+    assert not conjugate_in_B3(TX_PLUS, TX_PLUS * parse_word("n=3 s1"))
+    assert not conjugate_in_B3(parse_word("n=3 s1"), parse_word("n=3 s1^-1"))
+    assert not conjugate_in_B3(BraidWord(3, ()), DELTA_SQ)
+
+
+def test_conjugate_in_B3_requires_three_strands():
+    # the sums differ, so only the strand check can raise here
+    four, three = parse_word("n=4 s1"), parse_word("n=3 s1 s2")
+    for w1, w2 in ((four, three), (three, four)):
+        with pytest.raises(ValueError, match="need exactly 3 strands, got 4"):
+            conjugate_in_B3(w1, w2)
+
+
 def test_classify_unknots():
     assert classify_closure(normal_form(parse_word("n=3 s1 s2"))) == UnknotClass((1, 1))
     assert classify_closure(normal_form(parse_word("n=3 s1^-1 s2^-1"))) == UnknotClass((-1, -1))
@@ -438,7 +481,7 @@ def test_normal_form_matches_letter_route_on_long_conjugates():
         count = rng.randint(0, 30)
         g = _from_syllables([(rng.choice(_B3_LETTERS), rng.randint(1, 40)) for _ in range(count)])
         if i % 2:
-            w = BraidWord(3, tuple(rng.choice(_B3_LETTERS) for _ in range(rng.randint(0, 5))))
+            w = _random_b3_word(rng, 5)
         else:
             w = sigma_power(3, rng.choice((1, 2)), rng.choice((1, -1)) * rng.randint(1, 40))
         word = w.conjugated_by(g)

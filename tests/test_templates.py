@@ -216,6 +216,24 @@ def test_skeleton_validation():
         ),
         pytest.param(
             lambda: Template(
+                FLYPE_NEG.plus,
+                FLYPE_NEG.minus,
+                (("P", "fixed"), ("P", "rotated"), ("Q", "fixed"), ("R", "rotated")),
+            ),
+            "port_map names block 'P' more than once",
+            id="port-map-block-twice",
+        ),
+        pytest.param(
+            lambda: Template(
+                FLYPE_NEG.plus,
+                FLYPE_NEG.minus,
+                (("P", "fixed"), ("Q", "fixed"), ("Q", "fixed"), ("R", "rotated")),
+            ),
+            "port_map names block 'Q' more than once",
+            id="port-map-block-twice-same-mode",
+        ),
+        pytest.param(
+            lambda: Template(
                 BlockSkeleton(3, (BlockSlot("P", 1, 2),)),
                 BlockSkeleton(3, (BlockSlot("P", 1, 3),)),
                 (("P", "fixed"),),
