@@ -26,13 +26,12 @@ which is faithful on three strands.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Union
 
 from .burau import burau_matrix, burau_trace
-from .words import BraidWord
+from .words import BraidWord, _value_class
 
 __all__ = [
     "B3NormalForm",
@@ -111,7 +110,7 @@ _SYLLABLE_IMAGES: dict[tuple[int, int], tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@_value_class
 class B3NormalForm:
     """Complete conjugacy invariant: exponent sum + canonical cyclic word.
 
@@ -121,6 +120,18 @@ class B3NormalForm:
 
     exponent_sum: int
     cyclic_word: tuple[str, ...]
+
+    def __init__(self, exponent_sum: int, cyclic_word: tuple[str, ...]) -> None:
+        object.__setattr__(self, "exponent_sum", exponent_sum)
+        object.__setattr__(self, "cyclic_word", cyclic_word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is B3NormalForm:
+            return self.exponent_sum == other.exponent_sum and self.cyclic_word == other.cyclic_word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponent_sum, self.cyclic_word))
 
     def __str__(self) -> str:
         return f"e={self.exponent_sum}; [{','.join(self.cyclic_word)}]"
@@ -266,14 +277,14 @@ def conjugate_in_B3(w1: BraidWord, w2: BraidWord) -> bool:
 # closures with non-unique conjugacy classes
 
 
-@dataclass(frozen=True)
+@_value_class
 class UnknotClass:
     """One of the three 3-braid conjugacy classes closing to the unknot."""
 
     tag: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@_value_class
 class TorusKnot2k:
     """Class of s1^k s2^mu, closing to a (2, k) torus knot or link."""
 
@@ -281,7 +292,7 @@ class TorusKnot2k:
     mu: int
 
 
-@dataclass(frozen=True)
+@_value_class
 class GenericUnique:
     """Closure admits a unique conjugacy class of 3-braid representatives."""
 
@@ -332,17 +343,23 @@ def kolee_both_signs(u: int, v: int, w: int, eps: int) -> bool:
 # brute-force oracle
 
 
-@dataclass(frozen=True)
+@_value_class
 class Conjugate:
     conjugator: BraidWord
 
+    def __init__(self, conjugator: BraidWord) -> None:
+        object.__setattr__(self, "conjugator", conjugator)
 
-@dataclass(frozen=True)
+
+@_value_class
 class NotConjugate:
     witness: str
 
+    def __init__(self, witness: str) -> None:
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
+
+@_value_class
 class Unresolved:
     pass
 

@@ -40,11 +40,10 @@ only that sum, and ``certify`` compares two such sums through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
 
-from .words import BraidWord
+from .words import BraidWord, _value_class
 
 __all__ = [
     "Laurent",
@@ -59,7 +58,7 @@ Matrix = tuple[tuple["Laurent", ...], ...]
 # fills CPython's small-tuple free lists and raised peak RSS by 9-17 %.
 
 
-@dataclass(frozen=True, slots=True)
+@_value_class
 class Laurent:
     """Laurent polynomial over Z: ``sum(coeffs[i] * t^(low + i))``.
 
@@ -68,8 +67,25 @@ class Laurent:
     are schoolbook loops over the coefficients.
     """
 
-    low: int = 0
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("low", "coeffs")
+    low: int
+    coeffs: tuple[int, ...]
+
+    def __init__(self, low: int = 0, coeffs: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Laurent:
+            return self.low == other.low and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.coeffs))
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would set the slots through the refusing __setattr__
+        return Laurent, (self.low, self.coeffs)
 
     @classmethod
     def zero(cls) -> Laurent:

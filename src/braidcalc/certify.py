@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
 from .b3 import (
@@ -24,7 +23,7 @@ from .b3 import (
 from .burau import _packed_trace
 from .links import alexander_polynomial
 from .templates import flype_template, instantiate, per_component_beta_delta
-from .words import BraidWord, format_word, parse_word, sigma_power
+from .words import BraidWord, _field_values, _value_class, format_word, parse_word, sigma_power
 
 VERDICT_CERTIFIED = "CERTIFIED_NOT_TRANSVERSALLY_SIMPLE"
 
@@ -38,13 +37,18 @@ OBSTRUCTION_ASSIGNMENT: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@_value_class
 class FamilyParams:
     """Parameters (p, q, r) selecting one flype pair of the family."""
 
     p: int
     q: int
     r: int
+
+    def __init__(self, p: int, q: int, r: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
     def violations(self) -> Tuple[str, ...]:
         found = []
@@ -61,22 +65,24 @@ class FamilyParams:
         return tuple(found)
 
 
-@dataclass(frozen=True)
+@_value_class
 class ObstructionChecks:
     assignment: Tuple[Tuple[str, str], ...]
     component_table: Tuple[Tuple[int, int, int], ...]
     swap_detected: bool
 
 
-@dataclass(frozen=True)
+@_value_class
 class CertificationChecks:
     """Every exclusion check, in the order the verdict consults them.
 
-    The field order is the only list of checks.  The verdict names the
-    first failing one without its ``_ok`` (``conditions`` adds its first
-    violation); ``obstruction`` fails when no swap is detected.  The text
-    and JSON reports walk the same fields.  ``beta_plus`` and
-    ``beta_minus`` are data, not checks.
+    The field order, read from ``__match_args__``, is the order of the
+    checks; ``__init__`` takes them in that order, which
+    ``tests/test_values.py`` checks.  The verdict names the first failing
+    one without its ``_ok`` (``conditions`` adds its first violation);
+    ``obstruction`` fails when no swap is detected.  The text and JSON
+    reports walk the same fields.  ``beta_plus`` and ``beta_minus`` are
+    data, not checks.
     """
 
     conditions_ok: bool
@@ -90,14 +96,40 @@ class CertificationChecks:
     kolee_single_sign: bool
     obstruction: ObstructionChecks
 
+    def __init__(
+        self, conditions_ok: bool, beta_plus: int, beta_minus: int, beta_formula_ok: bool,
+        alexander_equal: bool, conjugacy_distinct: bool, not_unknot: bool, not_torus: bool,
+        kolee_single_sign: bool, obstruction: ObstructionChecks,
+    ) -> None:
+        object.__setattr__(self, "conditions_ok", conditions_ok)
+        object.__setattr__(self, "beta_plus", beta_plus)
+        object.__setattr__(self, "beta_minus", beta_minus)
+        object.__setattr__(self, "beta_formula_ok", beta_formula_ok)
+        object.__setattr__(self, "alexander_equal", alexander_equal)
+        object.__setattr__(self, "conjugacy_distinct", conjugacy_distinct)
+        object.__setattr__(self, "not_unknot", not_unknot)
+        object.__setattr__(self, "not_torus", not_torus)
+        object.__setattr__(self, "kolee_single_sign", kolee_single_sign)
+        object.__setattr__(self, "obstruction", obstruction)
 
-@dataclass(frozen=True)
+
+@_value_class
 class CertificationReport:
     params: FamilyParams
     tx_plus: BraidWord
     tx_minus: BraidWord
     checks: CertificationChecks
     verdict: str
+
+    def __init__(
+        self, params: FamilyParams, tx_plus: BraidWord, tx_minus: BraidWord,
+        checks: CertificationChecks, verdict: str,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "tx_plus", tx_plus)
+        object.__setattr__(self, "tx_minus", tx_minus)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "verdict", verdict)
 
     @property
     def certified(self) -> bool:
@@ -173,15 +205,6 @@ def certify(params: FamilyParams) -> CertificationReport:
         obstruction=_obstruction_checks(),
     )
     return CertificationReport(params, tx_plus, tx_minus, checks, verdict(params, checks))
-
-
-@functools.cache
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _field_values(obj) -> Dict:
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def verdict(params: FamilyParams, checks: CertificationChecks) -> str:

@@ -6,11 +6,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Any, List, Optional, Tuple
 
 # each verb imports its own modules, so a verb loads only what it runs
-from .words import BraidWord, format_word, parse_word
+from .words import BraidWord, _field_values, format_word, parse_word
 
 FORMAT_ENV_VAR = "BRAIDCALC_FORMAT"
 
@@ -173,15 +172,14 @@ def _cmd_tower_validate(args: argparse.Namespace) -> Result:
         result = validate_tower(*tower_from_json(text))
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad tower description: {exc}") from None
-    counts = asdict(result.counts)
     payload = {
         "ok": result.ok,
-        "counts": counts,
+        "counts": _field_values(result.counts),
         "problems": [{"code": code, "step": step} for code, step in result.problems],
     }
     lines = [
         f"ok: {json.dumps(result.ok)}",
-        " ".join(f"{name}={value}" for name, value in counts.items()),
+        " ".join(f"{name}={value}" for name, value in payload["counts"].items()),
     ]
     lines.extend(f"problem[step {step}]: {code}" for code, step in result.problems)
     return (EXIT_OK if result.ok else EXIT_CHECK_FAILED), payload, lines

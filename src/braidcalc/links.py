@@ -12,12 +12,11 @@ linking numbers.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
 from .burau import Laurent, burau_matrix, burau_trace, determinant
-from .words import BraidWord
+from .words import BraidWord, _value_class
 
 __all__ = [
     "ComponentInvariants",
@@ -28,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_class
 class ComponentInvariants:
     """One closure component: its strands and its own Bennequin number.
 
@@ -42,7 +41,7 @@ class ComponentInvariants:
     bennequin: int
 
 
-@dataclass(frozen=True)
+@_value_class
 class LinkingMatrix:
     """Pairwise linking numbers, indexed like the component tuple."""
 

@@ -24,11 +24,10 @@ holds for arbitrary towers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from . import words
-from .words import BraidWord, format_word, parse_word
+from .words import BraidWord, _value_class, format_word, parse_word
 
 __all__ = [
     "Stabilize",
@@ -49,7 +48,7 @@ class MoveError(ValueError):
     """A move does not apply to the word it was asked to act on."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class Stabilize:
     sign: int
 
@@ -60,7 +59,7 @@ class Stabilize:
         return BraidWord(word.strands + 1, word.letters + ((word.strands, self.sign),))
 
 
-@dataclass(frozen=True)
+@_value_class
 class Destabilize:
     sign: int
 
@@ -84,7 +83,7 @@ class Destabilize:
         return BraidWord(word.strands - 1, letters[k + 1:] + letters[:k])
 
 
-@dataclass(frozen=True)
+@_value_class
 class ConjugateBy:
     conjugator: BraidWord
 
@@ -98,7 +97,7 @@ class ConjugateBy:
         return word.conjugated_by(self.conjugator)
 
 
-@dataclass(frozen=True)
+@_value_class
 class Exchange:
     """Flip the signs of the two outermost last-generator letters.
 
@@ -131,7 +130,7 @@ class Exchange:
 Move = Union[Stabilize, Destabilize, ConjugateBy, Exchange]
 
 
-@dataclass(frozen=True)
+@_value_class
 class FoliationCounts:
     v_plus: int = 0
     v_minus: int = 0
@@ -139,7 +138,7 @@ class FoliationCounts:
     s_minus: int = 0
 
 
-@dataclass(frozen=True)
+@_value_class
 class TowerValidation:
     ok: bool
     counts: FoliationCounts

@@ -12,14 +12,12 @@ Every failure, from a malformed skeleton to ports that do not glue, is a
 from __future__ import annotations
 
 import functools
-import inspect
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from . import words
 from .links import ComponentInvariants, components
-from .words import BraidWord, parse_word
+from .words import BraidWord, _value_class, parse_word
 
 PORT_FIXED = "fixed"
 PORT_ROTATED = "rotated"
@@ -29,21 +27,21 @@ class TemplateError(ValueError):
     """A template, or its instantiation, is malformed."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class Crossing:
     """One fixed crossing between adjacent strands: index i, sign +-1."""
 
     index: int
     sign: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.index < 1:
             raise TemplateError(f"crossing index must be >= 1, got {self.index}")
         if self.sign not in (1, -1):
             raise TemplateError(f"crossing sign must be +-1, got {self.sign}")
 
 
-@dataclass(frozen=True)
+@_value_class
 class BlockSlot:
     """A hole for a braiding block covering `width` adjacent strands."""
 
@@ -51,7 +49,7 @@ class BlockSlot:
     start_position: int
     width: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.block_id:
             raise TemplateError("block_id must be a nonempty string")
         if self.start_position < 1:
@@ -64,14 +62,14 @@ class BlockSlot:
 SkeletonItem = Union[Crossing, BlockSlot]
 
 
-@dataclass(frozen=True)
+@_value_class
 class BlockSkeleton:
     """An ordered word-with-holes on `strands` strands."""
 
     strands: int
     items: Tuple[SkeletonItem, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.strands < 1:
             raise TemplateError(f"strands must be >= 1, got {self.strands}")
         seen = set()
@@ -96,7 +94,7 @@ class BlockSkeleton:
         return tuple(i for i in self.items if isinstance(i, BlockSlot))
 
 
-@dataclass(frozen=True)
+@_value_class
 class Template:
     """A plus/minus skeleton pair over one block set, plus the port map.
 
@@ -111,7 +109,7 @@ class Template:
     minus: BlockSkeleton
     port_map: Tuple[Tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # equal {block_id: width} maps mean equal block sets as well
         widths = self.block_widths()
         if widths != {s.block_id: s.width for s in self.minus.block_slots()}:
@@ -352,7 +350,10 @@ def parse_template_description(text: str) -> Tuple[Template, Dict[str, BraidWord
     if not isinstance(params, dict) or not all(type(v) is int for v in params.values()):
         raise TemplateError(f"params for {name} must be integers")
     try:
-        # check the names now; the sign and weight checks run last
+        # check the names now; the sign and weight checks run last.
+        # Imported here, so that no other verb loads inspect.
+        import inspect
+
         inspect.signature(build).bind(**params)
     except TypeError as exc:
         raise TemplateError(f"bad params for {name}: {exc}") from None

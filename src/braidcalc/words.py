@@ -10,7 +10,6 @@ braid groups compares unequal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -34,23 +33,88 @@ MAX_LETTERS = 1_000_000
 MAX_STRANDS = 500
 
 
-@dataclass(frozen=True)
+def _value_class(cls: type) -> type:
+    """Make ``cls`` an immutable value over the fields its body annotates.
+
+    Each method below is added unless the class defines its own: an
+    ``__init__`` taking the fields by position or keyword, with class
+    attributes as defaults, then calling the class's ``_validate``;
+    equality within one class and a hash, both of the field tuple; and a
+    ``Name(field=value, ...)`` repr.  Setting or deleting an attribute
+    raises ``AttributeError``.  Classes built per op write their own
+    ``__init__``, and the most compared ones their own ``__eq__`` and
+    ``__hash__``, with plain attribute reads: on CPython 3.11 these are
+    faster than the argument handling and the field-tuple key here.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    key = lambda obj: tuple(getattr(obj, n) for n in names)
+    fields = set(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    validate = getattr(cls, "_validate", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            # a field given twice is dict()'s TypeError
+            values = dict(defaults, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or values.keys() != fields:
+                raise TypeError(f"{cls.__name__} takes the fields {names}, got {args} and {kwargs}")
+            args = map(values.__getitem__, names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if validate is not None:
+            validate(self)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def refuse(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    # a class without fields keeps object's __init__, which takes no arguments
+    for method in (__init__, __eq__, __hash__, __repr__) if names else (__eq__, __hash__, __repr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__match_args__ = names
+    return cls
+
+
+def _field_values(obj) -> dict:
+    """The fields of a value-class instance, by name, in field order."""
+    return {name: getattr(obj, name) for name in obj.__match_args__}
+
+
+@_value_class
 class BraidWord:
     """A word in the braid group on ``strands`` strands."""
 
     strands: int
-    letters: tuple[tuple[int, int], ...] = ()
+    letters: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.strands <= MAX_STRANDS:
-            raise ValueError(f"strands must be in 1..{MAX_STRANDS}, got {self.strands}")
-        for index, sign in dict.fromkeys(self.letters):
-            if not 1 <= index <= self.strands - 1:
-                raise ValueError(
-                    f"generator index {index} out of range for {self.strands} strands"
-                )
+    def __init__(self, strands: int, letters: tuple[tuple[int, int], ...] = ()) -> None:
+        if not 1 <= strands <= MAX_STRANDS:
+            raise ValueError(f"strands must be in 1..{MAX_STRANDS}, got {strands}")
+        for index, sign in dict.fromkeys(letters):
+            if not 1 <= index <= strands - 1:
+                raise ValueError(f"generator index {index} out of range for {strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +-1, got {sign}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is BraidWord:
+            return self.strands == other.strands and self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -97,7 +161,7 @@ def _derived(strands: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
     """A word built from letters already known to fit ``strands``.
 
     Only the strand count is checked; the letter scan of
-    ``BraidWord.__post_init__`` is skipped.  Callers state why their
+    ``BraidWord.__init__`` is skipped.  Callers state why their
     letters are in range.
     """
     if not 1 <= strands <= MAX_STRANDS:

@@ -412,6 +412,23 @@ _LOADED_BY_VERB = [
 ]
 
 
+# Standard-library modules that no verb needs and that cost milliseconds
+# at start-up: dataclasses generates code per class and imports inspect.
+_STARTUP_HEAVY = ("dataclasses", "inspect")
+
+
+def _heavy_loaded(env, script, *args, stdin=""):
+    """Run ``script`` in a fresh interpreter; the JSON it prints, followed
+    by the ``_STARTUP_HEAVY`` modules loaded when it ends."""
+    script += f"print(json.dumps(sorted(m for m in {_STARTUP_HEAVY} if m in sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        input=stdin, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
 @pytest.mark.parametrize(
     "argv, code, loaded", _LOADED_BY_VERB,
     ids=[argv[0] if argv else "import" for argv, _, _ in _LOADED_BY_VERB],
@@ -430,15 +447,14 @@ def test_each_verb_imports_only_its_modules(argv, code, loaded):
     src = str(Path(braidcalc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     tower = tower_to_json("topological", parse_word("n=3 s1"), (Stabilize(1),))
-    done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argv)],
-        input=tower, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
+    ran, heavy = _heavy_loaded(env, script, json.dumps(argv), stdin=tower)
+    assert ran == [
         code,
         sorted({"braidcalc", "braidcalc.cli"} | {"braidcalc." + name for name in loaded}),
     ]
+    # a bare interpreter may load them itself, through site or a .pth file
+    [bare] = _heavy_loaded(env, "import json, sys\n")
+    assert set(heavy) <= set(bare)
 
 
 def test_certify_exit_codes(capsys):
