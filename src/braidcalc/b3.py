@@ -20,7 +20,8 @@ disjoint one: invariant batteries (exponent sum, exact Burau
 characteristic polynomial, and a modular-group class computed from
 integer matrices by continued-fraction peeling) plus a bounded search
 for an explicit conjugator, verified through the Burau representation,
-which is faithful on three strands.
+which is faithful on three strands.  The oracle imports ``burau`` where
+it is used, so the normal-form route alone never loads the Burau code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Iterable, Union
 
-from .burau import burau_matrix, burau_trace
 from .words import BraidWord, _value_class
 
 __all__ = [
@@ -430,11 +430,17 @@ def _psl2z_class(word: BraidWord) -> tuple[str, ...]:
     return _su_class(m)
 
 
-_BATTERY_FUNCTIONS: dict[str, Callable[[BraidWord], object]] = {
-    "exponent_sum": lambda w: w.exponent_sum(),
+def _burau_char_poly(word: BraidWord) -> object:
     # a reduced 3-strand Burau matrix is 2x2 with determinant (-t)^e, so its
     # trace and exponent sum e fix its characteristic polynomial
-    "burau_char_poly": lambda w: (burau_trace(w), w.exponent_sum()),
+    from . import burau
+
+    return burau.burau_trace(word), word.exponent_sum()
+
+
+_BATTERY_FUNCTIONS: dict[str, Callable[[BraidWord], object]] = {
+    "exponent_sum": lambda w: w.exponent_sum(),
+    "burau_char_poly": _burau_char_poly,
     "psl2z_class": _psl2z_class,
 }
 
@@ -489,15 +495,17 @@ def _conjugation_ball(
     costs one conjugation of the parent's matrix.  The root g = () is
     always checked, so a negative bound acts as 0.
     """
+    from . import burau
+
     word = BraidWord(3, w1)
     target = _fp_of_word(w2)
-    expected = burau_matrix(BraidWord(3, w2))
+    expected = burau.burau_matrix(BraidWord(3, w2))
     queue = deque([((), _fp_of_word(w1))])
     while queue:
         g_letters, matrix = queue.popleft()
         if matrix == target:
             g = BraidWord(3, g_letters)
-            if burau_matrix(word.conjugated_by(g)) == expected:
+            if burau.burau_matrix(word.conjugated_by(g)) == expected:
                 return g
         if len(g_letters) < bound:
             for (i, s), gen in _FP_GENS.items():

@@ -282,10 +282,13 @@ def _grow(bound: list[int], index: int, sign: int, power: int) -> None:
     its inverse to (y, x + 2y); a syllable of k >= 3 letters adds k(x + y)
     to both, as S_e has k coefficients of size 1.  The last generator
     replaces its column by the sum of all the bounds once per letter, or
-    for k >= 3 letters grows it by k times that sum.  ``_walk`` applies
-    all its syllables by the series rule, but a bound limits the product,
-    not the route that computes it, and for one or two letters the
-    per-letter bound is the tighter one, so it keeps digits narrower.
+    for k >= 3 letters grows it by k times that sum.  ``_walk`` applies a
+    middle generator's syllables of one or two letters letter by letter
+    and its longer ones by the series rule; only the last generator always
+    takes the series rule.  A bound limits the product, not the route
+    that computes it, so one or two letters of the last generator still
+    take the per-letter bound: it is the tighter one and keeps digits
+    narrower.
     """
     c = index - 1
     if index < len(bound):

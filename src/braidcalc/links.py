@@ -6,7 +6,8 @@ strands and sums crossing signs per pair of strands.  Which component a
 strand belongs to is known only once the sweep has ended, so the pair
 sums are then folded into each component's self-writhe or a component
 pair's mixed crossing count; mixed counts are always even and halve to
-linking numbers.
+linking numbers.  Only ``alexander_polynomial`` needs the Burau code,
+and it imports ``burau`` where it runs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import accumulate
 from operator import sub
+from typing import TYPE_CHECKING
 
-from .burau import Laurent, burau_matrix, burau_trace, determinant
 from .words import BraidWord, _value_class
+
+if TYPE_CHECKING:
+    from .burau import Laurent
 
 __all__ = [
     "ComponentInvariants",
@@ -117,9 +121,6 @@ def linking_matrix(word: BraidWord) -> LinkingMatrix:
     return LinkingMatrix(cycles, tuple(tuple(row) for row in entries))
 
 
-_ONE = Laurent.one()
-
-
 def alexander_polynomial(word: BraidWord) -> Laurent:
     """Alexander polynomial of the closure, via the reduced Burau matrix.
 
@@ -130,14 +131,16 @@ def alexander_polynomial(word: BraidWord) -> Laurent:
     with positive top coefficient; the zero polynomial is returned as
     such (split links).
     """
+    from . import burau
+
     if word.strands == 3:
         e = word.exponent_sum()
-        det = _ONE - burau_trace(word) + Laurent.term(-1 if e % 2 else 1, e)
+        det = burau._ONE - burau.burau_trace(word) + burau.Laurent.term(-1 if e % 2 else 1, e)
     else:
-        m = [list(row) for row in burau_matrix(word)]
+        m = [list(row) for row in burau.burau_matrix(word)]
         for i, row in enumerate(m):
-            row[i] -= _ONE
-        det = determinant(m)
+            row[i] -= burau._ONE
+        det = burau.determinant(m)
     return _divexact_repunit(det, word.strands).unit_normalized()
 
 
@@ -159,4 +162,4 @@ def _divexact_repunit(p: Laurent, n: int) -> Laurent:
         q[i::n] = accumulate(r[i::n])
     if any(q[-n:]):
         raise ValueError("inexact polynomial division")
-    return Laurent(p.low, tuple(q[:-n]))
+    return type(p)(p.low, tuple(q[:-n]))

@@ -349,14 +349,19 @@ def parse_template_description(text: str) -> Tuple[Template, Dict[str, BraidWord
     # type(v) is int: JSON true and false decode to bool, a subclass of int
     if not isinstance(params, dict) or not all(type(v) is int for v in params.values()):
         raise TemplateError(f"params for {name} must be integers")
-    try:
-        # check the names now; the sign and weight checks run last.
-        # Imported here, so that no other verb loads inspect.
-        import inspect
-
-        inspect.signature(build).bind(**params)
-    except TypeError as exc:
-        raise TemplateError(f"bad params for {name}: {exc}") from None
+    # check the names now, in the words of inspect.Signature.bind; the sign
+    # and weight checks run last, in the constructor
+    fn = getattr(build, "__wrapped__", build)
+    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    required = names[: len(names) - len(fn.__defaults__ or ())]
+    missing = [p for p in required if p not in params]
+    unknown = [p for p in params if p not in names]
+    if missing or unknown:
+        problem = (
+            f"missing a required argument: {missing[0]!r}" if missing
+            else f"got an unexpected keyword argument {unknown[0]!r}"
+        )
+        raise TemplateError(f"bad params for {name}: {problem}")
     texts = payload.get("assignment", {})
     if not isinstance(texts, dict) or not all(isinstance(w, str) for w in texts.values()):
         raise TemplateError("assignment must map block ids to word strings")

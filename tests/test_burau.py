@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcalc.b3 as b3
 import braidcalc.burau as burau
 from braidcalc.burau import (
     Laurent,
@@ -15,6 +17,7 @@ from braidcalc.burau import (
     burau_trace,
     determinant,
 )
+from braidcalc.links import alexander_polynomial
 from braidcalc.words import BraidWord, parse_word, sigma_power
 
 from conftest import braid_words, coeff, laurent, matrix_trace, syllable_words
@@ -312,6 +315,36 @@ def test_burau_trace_matches_matrix_trace(monkeypatch, positive, short):
         assert burau_trace(w) == matrix_trace(burau_matrix(w)), w
     # more than one segment per call on average
     assert not short or len(widths) > 2 * len(words)
+
+
+def test_callers_read_burau_functions_at_call_time(monkeypatch):
+    """Counting wrappers set on the ``burau`` module alone, as a tracer
+    would install them, see every call that ``b3`` and ``links`` make."""
+    calls = Counter()
+    for name in ("burau_matrix", "burau_trace", "determinant"):
+
+        def counted(*args, _name=name, _original=getattr(burau, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(burau, name, counted)
+    b3._battery_key.cache_clear()
+    b3._conjugation_ball.cache_clear()
+    w1 = parse_word("n=3 s1^2 s2^-1 s1 s2^3")
+    planted = b3.brute_force_conjugacy_oracle(w1, w1.conjugated_by(parse_word("n=3 s2 s1^-1")))
+    assert isinstance(planted, b3.Conjugate)
+    # one trace per word, then the target's matrix and the confirmed hit
+    assert calls == {"burau_trace": 2, "burau_matrix": 2}
+    calls.clear()
+    out = b3.brute_force_conjugacy_oracle(parse_word("n=3 s1^2"), parse_word("n=3 s1 s2"))
+    assert out == b3.NotConjugate("burau_char_poly")
+    assert calls == {"burau_trace": 2}
+    calls.clear()
+    alexander_polynomial(parse_word("n=3 s1^3 s2^4 s1^-5 s2^-1"))
+    assert calls == {"burau_trace": 1}
+    calls.clear()
+    alexander_polynomial(parse_word("n=5 s1 s2^-1 s3 s4^2 s1^-3"))
+    assert calls == {"burau_matrix": 1, "determinant": 1}
 
 
 @pytest.mark.parametrize("text", ["n=1", "n=2 s1", "n=4 s1 s3", "n=5"])

@@ -400,11 +400,11 @@ _LOADED_BY_VERB = [
     (None, None, {"words"}),
     (["invariants", "s1"], 0, {"words"}),
     (["tower-validate"], 0, {"words", "moves"}),
-    (["components", "s1 s2"], 0, {"words", "links", "burau"}),
-    (["conjugate", "s1 s2", "s2 s1"], 0, {"words", "b3", "burau"}),
-    (["classify", "s1 s2"], 0, {"words", "b3", "burau"}),
-    (["flype", "--P", "s1", "--R", "s1", "--Q", "s1"], 0,
-     {"words", "templates", "links", "burau"}),
+    (["components", "s1 s2"], 0, {"words", "links"}),
+    (["conjugate", "s1 s2", "s2 s1"], 0, {"words", "b3"}),
+    (["classify", "s1 s2"], 0, {"words", "b3"}),
+    (["flype", "--P", "s1", "--R", "s1", "--Q", "s1"], 0, {"words", "templates", "links"}),
+    (["flype", "--desc", "{tmp}/d.json"], 0, {"words", "templates", "links"}),
     (["certify", "--p", "2", "--q", "4", "--r", "3"], 0,
      {"words", "b3", "burau", "certify", "links", "templates"}),
     (["sweep", "--max", "3"], 0,
@@ -431,9 +431,12 @@ def _heavy_loaded(env, script, *args, stdin=""):
 
 @pytest.mark.parametrize(
     "argv, code, loaded", _LOADED_BY_VERB,
-    ids=[argv[0] if argv else "import" for argv, _, _ in _LOADED_BY_VERB],
+    ids=[
+        argv[0] + ("-desc" if "--desc" in argv else "") if argv else "import"
+        for argv, _, _ in _LOADED_BY_VERB
+    ],
 )
-def test_each_verb_imports_only_its_modules(argv, code, loaded):
+def test_each_verb_imports_only_its_modules(argv, code, loaded, tmp_path):
     # a fresh interpreter, so that nothing this test session imported counts
     script = (
         "import io, json, sys, contextlib\n"
@@ -447,6 +450,10 @@ def test_each_verb_imports_only_its_modules(argv, code, loaded):
     src = str(Path(braidcalc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     tower = tower_to_json("topological", parse_word("n=3 s1"), (Stabilize(1),))
+    desc = '{%s, "assignment": {"P": "s1", "R": "s1", "Q": "s1"}}' % FLYPE_HEAD
+    (tmp_path / "d.json").write_text(desc)
+    if argv is not None:
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
     ran, heavy = _heavy_loaded(env, script, json.dumps(argv), stdin=tower)
     assert ran == [
         code,

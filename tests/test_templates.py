@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -97,9 +98,27 @@ def test_flype_template_is_built_once():
     for _ in range(2):
         with pytest.raises(TemplateError, match="flype sign must be"):
             flype_template(2)
-    # the cache wrapper keeps the signature that descriptions are bound to
+    # descriptions read the parameter names through the cache wrapper
     with pytest.raises(TemplateError, match="bad params for flype: "):
         parse_template_description('{"kind": "flype", "params": {"sign": -1, "turns": 2}}')
+
+
+@pytest.mark.parametrize(
+    "kind, params, problem",
+    [
+        ("flype", {"turns": 2}, "missing a required argument: 'sign'"),
+        ("flype", {"sign": 3, "w": 1}, "got an unexpected keyword argument 'w'"),
+        ("destabilize", {"weight": 2, "x": 1}, "missing a required argument: 'sign'"),
+        ("exchange", {"weight": 1, "x": 1, "y": 2}, "got an unexpected keyword argument 'x'"),
+    ],
+)
+def test_description_param_names_are_checked_first(kind, params, problem):
+    # in the words of inspect.Signature.bind, before the assignment and
+    # before the constructor's own sign and weight checks
+    text = json.dumps({"kind": kind, "params": params, "assignment": 5})
+    with pytest.raises(TemplateError) as excinfo:
+        parse_template_description(text)
+    assert str(excinfo.value) == f"bad params for {kind}: {problem}"
 
 
 def test_instantiate_errors():
