@@ -18,7 +18,6 @@ from braidcalc.b3 import (
     TorusKnot2k,
     UnknotClass,
     Unresolved,
-    _battery_key,
     _fp_mul,
     _fp_of_word,
     _min_rotation,
@@ -404,7 +403,8 @@ def reference_conjugacy_oracle(
     for name in invariant_batteries:
         if name not in _BATTERY_FUNCTIONS:
             raise ValueError(f"unknown battery {name!r}")
-        if _battery_key(name, w1.letters) != _battery_key(name, w2.letters):
+        battery = _BATTERY_FUNCTIONS[name]
+        if battery(w1) != battery(w2):
             return NotConjugate(name)
     target = _fp_of_word(w2.letters)
     ball = _reference_ball(w1.letters, conjugator_bound)

@@ -346,6 +346,61 @@ def test_oracle_matches_full_ball_reference(monkeypatch):
     assert seen["NotConjugate", 6], seen
 
 
+def _inverse_letter(letter):
+    return (letter[0], -letter[1])
+
+
+def test_free_class_is_shared_by_conjugates_and_keeps_the_batteries():
+    """Seeded: words w of 0-12 letters, some not cyclically reduced, and
+    conjugators g of 0-4 letters, some cancelling against w at either
+    seam.  g w g^-1 and w freely reduced have w's free class, the class
+    is its own class, and every battery reads the same on the class's
+    word as on w."""
+    rng = random.Random(30)
+    seen = Counter()
+    for _ in range(800):
+        w = [rng.choice(_B3_LETTERS) for _ in range(rng.randint(0, 12))]
+        if len(w) >= 2 and rng.random() < 0.3:
+            w[-1] = _inverse_letter(w[0])
+        g = [rng.choice(_B3_LETTERS) for _ in range(rng.randint(0, 4))]
+        if g and w and rng.random() < 0.5:
+            # g's last letter cancels w's first, or g^-1's first cancels w's last
+            left = rng.random() < 0.5
+            g[-1] = _inverse_letter(w[0]) if left else w[-1]
+            seen["left seam" if left else "right seam"] += 1
+        seen["not cyclically reduced"] += len(w) >= 2 and w[-1] == _inverse_letter(w[0])
+        word = BraidWord(3, tuple(w))
+        key = b3._free_class(word.letters)
+        assert b3._free_class(word.conjugated_by(BraidWord(3, tuple(g))).letters) == key, (w, g)
+        assert b3._free_class(word.free_reduced().letters) == key == b3._free_class(key), w
+        for name, battery in b3._BATTERY_FUNCTIONS.items():
+            assert battery(BraidWord(3, key)) == battery(word), (name, w)
+    assert seen["left seam"] and seen["right seam"] and seen["not cyclically reduced"], seen
+
+
+def test_oracle_reads_exponent_sums_without_a_key(monkeypatch):
+    def refuse(letters):
+        raise AssertionError("free class computed for unequal exponent sums")
+
+    monkeypatch.setattr(b3, "_free_class", refuse)
+    before = b3._battery_key.cache_info()
+    out = brute_force_conjugacy_oracle(parse_word("n=3 s1 s2^-1 s1^2"), parse_word("n=3 s2 s1^-2 s2"))
+    assert out == NotConjugate("exponent_sum")
+    assert b3._battery_key.cache_info() == before
+
+
+def test_planted_conjugates_share_battery_entries():
+    """200 conjugates of one word, by 200 different conjugators, cost one
+    entry per cached battery: both batteries are read under w's class."""
+    w = parse_word("n=3 s1^2 s2^-1 s1 s2^3 s1^-1")
+    conjugators = random.Random(30).sample([g for g in reduced_corpus(5) if g.letters], 200)
+    b3._battery_key.cache_clear()
+    for g in conjugators:
+        assert isinstance(brute_force_conjugacy_oracle(w, w.conjugated_by(g)), Conjugate), g
+    info = b3._battery_key.cache_info()
+    assert (info.currsize, info.misses) == (2, 2), info
+
+
 def test_psl2z_class_frozen():
     assert _psl2z_class(BraidWord(3, ())) == ()
     assert _psl2z_class(DELTA_SQ) == ()
