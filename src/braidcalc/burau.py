@@ -9,11 +9,13 @@ t^(n-1) takes stride-n prefix sums instead (``links``).  Kronecker
 packing, which holds a polynomial as one big integer, its value at a
 power of two, is used in two places only, and ``_unpacked`` is the one
 reader of packed integers in both.  The Bareiss determinant packs each
-operand once per elimination step, at one digit width for the step, and
-computes every entry as one difference of packed products and one
-divmod; the quotient it reads is accepted when its digits are too narrow
-to have carried into each other, which proves it exact without
-multiplying back.
+operand once per elimination step, at one digit width w for the step,
+as its two values at t = 2^(w/2) and t = -2^(w/2) (Harvey's multipoint
+Kronecker substitution), so its integers are half as long as one value
+at 2^w.  Every entry is a difference of packed products and one divmod
+at each point; the quotient read from the two is accepted when its
+digits are too narrow to have carried into each other, which proves it
+exact without multiplying back.
 
 The other is the Burau walk.  The reduced Burau matrix of a word on n
 strands is (n-1) x (n-1) and is built column by column, one syllable (a
@@ -479,24 +481,65 @@ def _walk(
     return cols, low - scale
 
 
+def _two_points(coeffs: tuple[int, ...], nb: int) -> tuple[int, int]:
+    """A polynomial at t = 2^h and at t = -2^h, h = 4*nb.
+
+    With E and O its even and odd coefficients packed at nb bytes, as
+    values at 2^(2h), the polynomial is E(t^2) + t*O(t^2), so its values
+    at the two points are E + 2^h*O and E - 2^h*O.
+    """
+    even = _pack(coeffs[0::2], nb)
+    odd = _pack(coeffs[1::2], nb) << 4 * nb
+    return even + odd, even - odd
+
+
+def _interleaved(even: Laurent, odd: Laurent, low: int) -> Laurent:
+    """t^low * (even(t^2) + t*odd(t^2)), for ``even`` and ``odd`` with no
+    negative powers."""
+    ec, oc = even.coeffs, odd.coeffs
+    dense = [0] * (2 * max(even.low + len(ec), odd.low + len(oc)))
+    start = 2 * even.low
+    dense[start:start + 2 * len(ec):2] = ec
+    start = 2 * odd.low + 1
+    dense[start:start + 2 * len(oc):2] = oc
+    return _trimmed(low, dense)
+
+
 def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     """Eliminate below the pivot a[k][k], whose predecessor was ``prev``.
 
     Every a[i][j] with i, j > k becomes (a_kk*a_ij - a_ik*a_kj) / prev,
-    an exact quotient, and a[i][k] becomes zero.  One digit width serves
-    the whole step: with B the largest coefficient bits and L the longest
-    entry of the active submatrix, every numerator has coefficients below
-    2^(2B + bits(L) + 1), and the width fits prev too.  The pivot, its
-    row, each a_ik and prev are packed once.  Each numerator N is the
-    difference of two packed products, aligned by shifting whole digits,
-    and is divided by one divmod; the quotient is read by ``_unpacked``
-    as a polynomial q.  The read is accepted when there is no remainder
-    and bits(max|q|) + bits(max|prev|) + bits(min(len q, len prev)) + 2
-    <= w.  Then every coefficient of q*prev fits a signed digit, as every
-    coefficient of N does, and the two agree at t = 2^w; as signed digits
-    are unique, q*prev = N.  A quotient whose coefficients outgrow the
-    width has carried between digits and is refused; that entry is
-    computed again by Laurent arithmetic.
+    an exact quotient, and a[i][k] becomes zero.  One digit width w =
+    8*nb serves the whole step: with B the largest coefficient bits and
+    L the longest entry of the active submatrix, every numerator N has
+    coefficients below 2^(2B + bits(L) + 1), and the width fits prev too.
+
+    The integers are values at the two points t = 2^h and t = -2^h,
+    h = w/2, as in D. Harvey's multipoint Kronecker substitution ("Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44, 2009, arXiv:0712.4046).  Each is half as long
+    as the value at 2^w, so a divmod costs about half as much and a
+    product about two thirds.  The pivot, its row, each a_ik and prev
+    are packed once per step, at both points (``_two_points``).  At each
+    point a numerator is the difference of two products, aligned by
+    shifting whole digits of h bits; a shift by t^d also negates the
+    value at -2^h when d is odd.  One divmod by prev at each point gives
+    q+ and q-, and the quotient q is read by ``_unpacked`` as two
+    polynomials at 2^w: its even coefficients from (q+ + q-)/2 and its
+    odd ones from (q+ - q-)/2^(h+1), interleaved.
+
+    The read is accepted when prev is nonzero at both points, neither
+    divmod leaves a remainder, q+ - q- is divisible by 2^(h+1) (so that
+    q+ + q- is even), and bits(max|q|) + bits(max|prev|) + bits(min(len
+    q, len prev)) + 2 <= w.  Then q is q+ at 2^h and q- at -2^h, so
+    R = q*prev - N vanishes at both points, and R's even and odd parts,
+    (R(2^h) + R(-2^h))/2 and (R(2^h) - R(-2^h))/2^(h+1) at t = 2^w,
+    vanish at 2^w.  The width test makes every coefficient of q*prev a
+    signed w-bit digit, as every coefficient of N is.  So the even parts
+    of q*prev and N are two signed-digit expansions of one integer, as
+    are their odd parts; signed digits are unique, so R = 0.  By the
+    same argument a numerator that is zero at both points is zero.  Any
+    refusal sends that one entry to ``*`` and ``divexact``.
     """
     size = len(a)
     active = [x.coeffs for row in a[k:] for x in row[k:] if x.coeffs]
@@ -504,34 +547,52 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     longest = max(map(len, active)).bit_length()
     div_bits = max(map(abs, prev.coeffs)).bit_length()
     nb = (max(2 * top + longest, div_bits) + 2 + 7) // 8
-    width = 8 * nb
-    div, div_len = _pack(prev.coeffs, nb), len(prev.coeffs)
+    width, half = 8 * nb, 4 * nb
+    odd_mask = (1 << half + 1) - 1
+    div_plus, div_minus = _two_points(prev.coeffs, nb)
+    div_len = len(prev.coeffs)
     pivot = a[k][k]
-    piv = _pack(pivot.coeffs, nb)
-    row = [(x.low, _pack(x.coeffs, nb)) for x in a[k][k + 1:]]
+    piv_plus, piv_minus = _two_points(pivot.coeffs, nb)
+    row = [(x.low, *_two_points(x.coeffs, nb)) if x.coeffs else None for x in a[k][k + 1:]]
     for i in range(k + 1, size):
         ai = a[i]
         c = ai[k]
-        col = _pack(c.coeffs, nb)
-        for j, (r_low, r) in enumerate(row, k + 1):
+        col_plus, col_minus = _two_points(c.coeffs, nb)
+        for j, r in enumerate(row, k + 1):
             x = ai[j]
-            # (low, value) of a_kk*a_ij and of -a_ik*a_kj, where nonzero
+            # (low, +2^h value, -2^h value) of a_kk*a_ij and of -a_ik*a_kj
             terms = []
             if x.coeffs:
-                terms.append((pivot.low + x.low, piv * _pack(x.coeffs, nb)))
-            if col and r:
-                terms.append((c.low + r_low, -col * r))
+                x_plus, x_minus = _two_points(x.coeffs, nb)
+                terms.append((pivot.low + x.low, piv_plus * x_plus, piv_minus * x_minus))
+            if c.coeffs and r:
+                terms.append((c.low + r[0], -col_plus * r[1], -col_minus * r[2]))
             low = min([t[0] for t in terms], default=0)
-            num = sum([value << width * (t_low - low) for t_low, value in terms])
-            if not num:
+            num_plus = num_minus = 0
+            for t_low, plus, minus in terms:
+                d = t_low - low
+                num_plus += plus << half * d
+                num_minus += (-minus if d % 2 else minus) << half * d
+            if not (num_plus or num_minus):
                 ai[j] = _ZERO
                 continue
-            quot, rem = divmod(num, div)
-            q = _unpacked(quot, low - prev.low, nb)
-            if rem or (
-                max(map(abs, q.coeffs)).bit_length() + div_bits
-                + min(len(q.coeffs), div_len).bit_length() + 2 > width
-            ):
+            q = None
+            if div_plus and div_minus:
+                q_plus, rem_plus = divmod(num_plus, div_plus)
+                q_minus, rem_minus = divmod(num_minus, div_minus)
+                diff = q_plus - q_minus
+                if not (rem_plus or rem_minus or diff & odd_mask):
+                    q = _interleaved(
+                        _unpacked(q_plus + q_minus >> 1, 0, nb),
+                        _unpacked(diff >> half + 1, 0, nb),
+                        low - prev.low,
+                    )
+                    if (
+                        max(map(abs, q.coeffs)).bit_length() + div_bits
+                        + min(len(q.coeffs), div_len).bit_length() + 2 > width
+                    ):
+                        q = None
+            if q is None:
                 q = (pivot * x - c * a[k][j]).divexact(prev)
             ai[j] = q
         ai[k] = _ZERO
@@ -540,8 +601,9 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
 def determinant(m: Matrix) -> Laurent:
     """Fraction-free Bareiss determinant; exact over Z[t, t^-1].
 
-    Each elimination step runs on Kronecker-packed integers, one digit
-    width per step (see ``_bareiss_step``).
+    Each elimination step runs on Kronecker-packed integers at two
+    points, t = 2^(w/2) and t = -2^(w/2), one digit width w per step
+    (see ``_bareiss_step``).
     """
     size = len(m)
     if size == 0:

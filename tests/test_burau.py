@@ -171,6 +171,15 @@ def test_burau_wide_coefficients_frozen(text, bits):
     assert widest.bit_length() == bits
 
 
+@pytest.mark.parametrize("k", [72, 150, 300])
+def test_burau_matches_reference_on_pseudo_anosov_powers(k):
+    """(s1 s2^-1)^k is pseudo-Anosov: its coefficients grow by about the
+    golden ratio per letter, to 200 bits at k = 150, so the walk's digits
+    come near the width ``_grow`` proves for them."""
+    w = parse_word("n=3 " + "s1 s2^-1 " * k)
+    assert burau_matrix(w) == _burau_reference(w)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_full_twist_powers_are_scalar(n):
     """(s1 ... s_(n-1))^n is the full twist, central, with image t^n * I;
@@ -570,3 +579,68 @@ def test_determinant_falls_back_when_a_quotient_is_refused(m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(burau, "_unpacked", too_wide)
         assert determinant(m) == _bareiss_reference(m)
+
+
+@pytest.mark.parametrize(
+    "corner, prev",
+    [(16, laurent({1: 1, 0: -256})), (-16, laurent({1: 1, 0: 256}))],
+    ids=["prev-zero-at-plus", "prev-zero-at-minus"],
+)
+def test_bareiss_step_falls_back_where_prev_vanishes_at_a_point(monkeypatch, corner, prev):
+    """The step width here is 16 bits, so the points are t = 256 and
+    t = -256, and prev = t -+ 256 is zero at one of them.  The entry
+    t*1 - 16*corner = prev is divided by ``divexact``, giving 1."""
+    fallbacks = []
+    divexact = Laurent.divexact
+
+    def counted(self, divisor):
+        fallbacks.append(divisor)
+        return divexact(self, divisor)
+
+    monkeypatch.setattr(Laurent, "divexact", counted)
+    a = [[ONE, Laurent.term(corner)], [Laurent.term(16), T]]
+    burau._bareiss_step(a, 0, prev)
+    assert a[1] == [Laurent.zero(), ONE]
+    assert fallbacks == [prev]
+
+
+@pytest.mark.parametrize(
+    "num, prev",
+    [
+        ((-6, -6), (262, 7)),  # a remainder at t = 256 only
+        ((-9, -4), (-247, 5)),  # a remainder at t = -256 only
+        ((-8, 5), (-4,)),  # no remainders, but the odd coefficient is -5/4
+    ],
+)
+def test_bareiss_step_refuses_an_inexact_quotient(num, prev):
+    """The corner 16 sets a width of 16 bits, so the points are t = 256
+    and t = -256.  Each quotient num / prev is refused by one check
+    alone: what the two points give otherwise passes the width test.
+    The fallback's ``divexact`` then finds it inexact."""
+    a = [[ONE, Laurent.term(16)], [Laurent.zero(), Laurent(0, num)]]
+    with pytest.raises(ValueError):
+        burau._bareiss_step(a, 0, Laurent(0, prev))
+
+
+def _workload_word(rng, n, length):
+    """Syllables of one or two equal letters, neighbours of different index."""
+    letters = []
+    index = 0
+    while len(letters) < length:
+        index = rng.choice([i for i in range(1, n) if i != index])
+        letters += [(index, rng.choice((1, -1)))] * rng.choice((1, 1, 1, 2))
+    return BraidWord(n, tuple(letters[:length]))
+
+
+def test_bareiss_quotients_of_long_words_need_no_fallback(monkeypatch):
+    """Every packed quotient in the Alexander polynomials of 4- to
+    8-strand words is accepted: no entry reaches ``divexact``.  A route
+    that refused them all would still give the right determinants."""
+    def refused(self, divisor):
+        raise AssertionError("a packed quotient was refused")
+
+    rng = random.Random(31)
+    words = [_workload_word(rng, rng.randint(4, 8), rng.randint(20, 150)) for _ in range(100)]
+    monkeypatch.setattr(Laurent, "divexact", refused)
+    for w in words:
+        alexander_polynomial(w)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc.b3 import NotConjugate, brute_force_conjugacy_oracle
 from braidcalc.burau import _packed_trace
 from braidcalc.certify import (
     SWEEP_MAX,
@@ -236,6 +237,33 @@ def test_certified_verdict_iff_every_check_passes(p, q, r):
     )
     assert report.certified == all_pass
     assert (report.verdict == VERDICT_CERTIFIED) == all_pass
+
+
+def test_family_checks_hold_by_routes_without_normal_forms():
+    """Seeded admissible triples up to 24.  ``conjugacy_distinct``,
+    ``not_unknot`` and ``not_torus`` read normal forms; the oracle and the
+    Alexander polynomial confirm them without one.  The oracle separates
+    the pair, and tx_plus's polynomial differs from the unknot's (s1 s2)
+    and from those of both torus candidates s1^(e - m) s2^m, m = +-1, with
+    e its exponent sum.  An unequal polynomial proves the closures differ."""
+    rng = random.Random(24)
+    triples = set()
+    while len(triples) < 200:
+        params = FamilyParams(*(rng.randint(2, 24) for _ in range(3)))
+        if not params.violations():
+            triples.add(params)
+    unknot = alexander_polynomial(parse_word("n=3 s1 s2"))
+    for params in sorted(triples, key=lambda f: (f.p, f.q, f.r)):
+        plus, minus = family_words(params)
+        assert isinstance(brute_force_conjugacy_oracle(plus, minus), NotConjugate), params
+        e = plus.exponent_sum()
+        delta = alexander_polynomial(plus)
+        assert delta != unknot, params
+        for m in (1, -1):
+            torus = sigma_power(3, 1, e - m) * sigma_power(3, 2, m)
+            assert delta != alexander_polynomial(torus), (params, m)
+        checks = certify(params).checks
+        assert checks.conjugacy_distinct and checks.not_unknot and checks.not_torus, params
 
 
 def test_submodule_import_binds_the_module():
