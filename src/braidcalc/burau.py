@@ -8,14 +8,16 @@ schoolbook loop; the Alexander polynomial's division by 1 + t + ... +
 t^(n-1) takes stride-n prefix sums instead (``links``).  Kronecker
 packing, which holds a polynomial as one big integer, its value at a
 power of two, is used in two places only, and ``_unpacked`` is the one
-reader of packed integers in both.  The Bareiss determinant packs each
-operand once per elimination step, at one digit width w for the step,
-as its two values at t = 2^(w/2) and t = -2^(w/2) (Harvey's multipoint
-Kronecker substitution), so its integers are half as long as one value
-at 2^w.  Every entry is a difference of packed products and one divmod
-at each point; the quotient read from the two is accepted when its
-digits are too narrow to have carried into each other, which proves it
-exact without multiplying back.
+reader of packed integers in both: it splits an integer's bytes into
+digits of the proven width with one ``struct`` call and reads them with
+``map``, so no bytecode runs per digit.  The Bareiss determinant packs
+each operand once per elimination step, at one digit width w for the
+step, as its two values at t = 2^(w/2) and t = -2^(w/2) (Harvey's
+multipoint Kronecker substitution), so its integers are half as long as
+one value at 2^w.  Every entry is a difference of packed products and
+one divmod at each point; the quotient read from the two is accepted
+when its digits are too narrow to have carried into each other, which
+proves it exact without multiplying back.
 
 The other is the Burau walk.  The reduced Burau matrix of a word on n
 strands is (n-1) x (n-1) and is built column by column, one syllable (a
@@ -42,8 +44,9 @@ only that sum, and ``certify`` compares two such sums through
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import add, sub
+from struct import Struct
 
 from .words import BraidWord, _value_class
 
@@ -252,7 +255,11 @@ def _unpacked(value: int, low: int, nb: int) -> Laurent:
     w = 8*nb, and this reads it: a value of b bits needs at most
     (b + 1) // w + 1 digits, and a zero top digit is trimmed.  Zero low
     digits are dropped first, so only the digits from the lowest nonzero
-    one up are read.
+    one up are read.  The offset bytes are split into digits by one
+    ``Struct`` of n items of nb bytes, and each is read and shifted back
+    by ``map``, so no bytecode runs per digit.  The ``Struct`` is built
+    for this call, as ``struct.unpack`` would cache a compiled format per
+    digit count, each as large as its count.
     """
     if not value:
         return _ZERO
@@ -260,10 +267,10 @@ def _unpacked(value: int, low: int, nb: int) -> Laurent:
     skip = ((value & -value).bit_length() - 1) // w
     value >>= skip * w
     n = (abs(value).bit_length() + 1) // w + 1
-    half = 1 << (w - 1)
     data = (value + _offsets(n, nb)).to_bytes(n * nb, "little")
-    digits = [int.from_bytes(data[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
-    return _trimmed(low + skip, digits)
+    chunks = Struct(f"{nb}s" * n).unpack(data)
+    digits = map(int.from_bytes, chunks, repeat("little"))
+    return _trimmed(low + skip, list(map(sub, digits, repeat(1 << (w - 1)))))
 
 
 # A segment of the Burau walk ends before the syllable that would take

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -476,22 +478,91 @@ def test_mul_and_divexact_on_dense_coeffs(a, b):
     assert quot * q == p
 
 
+def _from_digits(digits, nb):
+    """The integer whose signed digits of nb bytes are ``digits``, lowest first."""
+    return sum(d << 8 * nb * i for i, d in enumerate(digits))
+
+
+def _digits_reference(value, nb):
+    """The signed digits of nb bytes of ``value``, lowest first, read one
+    ``int.from_bytes`` per digit in a Python loop: the slow route."""
+    w = 8 * nb
+    n = (abs(value).bit_length() + 1) // w + 1
+    half = 1 << (w - 1)
+    offsets = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
+    data = (value + offsets).to_bytes(n * nb, "little")
+    return [int.from_bytes(data[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
+
+
 @settings(deadline=None)
 @given(
-    st.integers(min_value=-(2**300), max_value=2**300),
+    st.integers(min_value=-(2**4000), max_value=2**4000),
     st.integers(min_value=-5, max_value=5),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=24),
 )
 @example(2**15 - 1, 0, 1)
 @example(2**23 - 5, 0, 1)
 @example(-(2**15), 0, 1)
+@example(_from_digits([-128, 127, -128], 1), 0, 1)
+@example(_from_digits([0, 0, -(2**191), 2**191 - 1], 24), 2, 24)
+@example(_from_digits([0] * 3 + [2**175 - 1] * 5 + [-(2**175)], 22), -4, 22)
+@example(_from_digits([0, -(2**55)] + [2**55 - 1] * 69, 7), 0, 7)
 def test_unpacked_reads_every_integer(value, low, nb):
     """Every integer has signed digits of nb bytes, also one whose top
-    digit carries into a new one, as 2^15 - 1 = 2^16 - 2^15 - 1 does."""
+    digit carries into a new one, as 2^15 - 1 = 2^16 - 2^15 - 1 does, one
+    whose digits sit at both ends of [-2^(w-1), 2^(w-1)) and one whose
+    low digits are zero.  The Bareiss step reads digits of up to 22 bytes
+    from values of near 28 000 bits."""
     q = _unpacked(value, low, nb)
     half = 1 << (8 * nb - 1)
     assert all(-half <= c < half for c in q.coeffs)
     assert sum(c << 8 * nb * (p - low) for p, c in q.pairs) == value
+
+
+def test_unpacked_matches_a_per_digit_reader():
+    """2 000 seeded integers, built from digits of 1 to 24 bytes that are
+    often zero or at either end of their range, some of them as long as
+    the Bareiss step's longest: ``_unpacked`` reads the digits they were
+    built from, as the per-digit reader does."""
+    rng = random.Random(32)
+    for i in range(2_000):
+        nb = rng.randint(1, 24)
+        half = 1 << (8 * nb - 1)
+        n = rng.randint(1, 1_300 if i % 50 == 0 else 40)
+        digits = [
+            rng.choice((0, -half, half - 1, rng.randrange(-half, half))) for _ in range(n)
+        ]
+        digits = [0] * rng.choice((0, 0, 1, 5)) + digits
+        value, low = _from_digits(digits, nb), rng.randint(-5, 5)
+        pairs = tuple((low + p, c) for p, c in enumerate(digits) if c)
+        assert _unpacked(value, low, nb).pairs == pairs, (value, nb)
+        reference = _digits_reference(value, nb)
+        assert tuple((low + p, c) for p, c in enumerate(reference) if c) == pairs
+
+
+def test_unpacked_keeps_no_memory_per_digit_count():
+    """100 reads of distinct digit counts up to 20 000 leave under 1 MB
+    traced.  ``struct``'s module functions cache up to 100 compiled
+    formats, each holding memory in proportion to its item count, so a
+    reader that passed ``f"{nb}s" * n`` to ``struct.unpack`` would keep
+    megabytes here; ``_unpacked`` builds its ``Struct`` per call.  The
+    longest reads come last, so a cache that empties when full still
+    holds them at the end."""
+    rng = random.Random(32)
+    counts = [20_000 // k for k in range(100, 0, -1)]
+    reads = [
+        (rng.getrandbits(8 * nb * n - 2) | 1, nb)
+        for n, nb in zip(counts, itertools.cycle(range(1, 17)))
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for value, nb in reads:
+            _unpacked(value, 0, nb)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept
 
 
 @pytest.mark.parametrize("height", [1, 2, 127, 128, 300])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.b3 import NotConjugate, brute_force_conjugacy_oracle
+from braidcalc.b3 import NotConjugate, Unresolved, brute_force_conjugacy_oracle
 from braidcalc.burau import _packed_trace
 from braidcalc.certify import (
     SWEEP_MAX,
@@ -239,6 +239,22 @@ def test_certified_verdict_iff_every_check_passes(p, q, r):
     assert (report.verdict == VERDICT_CERTIFIED) == all_pass
 
 
+def _assert_family_checks_hold(params, unknot):
+    """The oracle separates the pair, and tx_plus's Alexander polynomial
+    differs from the unknot's and from those of both torus candidates
+    s1^(e - m) s2^m, m = +-1; ``certify`` reports the three checks."""
+    plus, minus = family_words(params)
+    assert isinstance(brute_force_conjugacy_oracle(plus, minus), NotConjugate), params
+    e = plus.exponent_sum()
+    delta = alexander_polynomial(plus)
+    assert delta != unknot, params
+    for m in (1, -1):
+        torus = sigma_power(3, 1, e - m) * sigma_power(3, 2, m)
+        assert delta != alexander_polynomial(torus), (params, m)
+    checks = certify(params).checks
+    assert checks.conjugacy_distinct and checks.not_unknot and checks.not_torus, params
+
+
 def test_family_checks_hold_by_routes_without_normal_forms():
     """Seeded admissible triples up to 24.  ``conjugacy_distinct``,
     ``not_unknot`` and ``not_torus`` read normal forms; the oracle and the
@@ -254,16 +270,36 @@ def test_family_checks_hold_by_routes_without_normal_forms():
             triples.add(params)
     unknot = alexander_polynomial(parse_word("n=3 s1 s2"))
     for params in sorted(triples, key=lambda f: (f.p, f.q, f.r)):
-        plus, minus = family_words(params)
-        assert isinstance(brute_force_conjugacy_oracle(plus, minus), NotConjugate), params
-        e = plus.exponent_sum()
-        delta = alexander_polynomial(plus)
-        assert delta != unknot, params
-        for m in (1, -1):
-            torus = sigma_power(3, 1, e - m) * sigma_power(3, 2, m)
-            assert delta != alexander_polynomial(torus), (params, m)
-        checks = certify(params).checks
-        assert checks.conjugacy_distinct and checks.not_unknot and checks.not_torus, params
+        _assert_family_checks_hold(params, unknot)
+
+
+@pytest.mark.slow
+def test_family_checks_hold_by_routes_without_normal_forms_on_every_triple():
+    """All 11 154 admissible triples with p, q, r <= 24, and the letter
+    cap.  On every triple in 2..12, admissible or not, the oracle agrees
+    with ``conjugacy_distinct`` wherever it decides.  It leaves 99 of those
+    1 331 rows ``Unresolved``: every one has p + 1 = q, and their
+    conjugators are longer than ``CONJUGATOR_BOUND``."""
+    unknot = alexander_polynomial(parse_word("n=3 s1 s2"))
+    admissible = 0
+    for p, q, r in itertools.product(range(2, 25), repeat=3):
+        params = FamilyParams(p, q, r)
+        if not params.violations():
+            admissible += 1
+            _assert_family_checks_hold(params, unknot)
+    assert admissible == 11_154
+    _assert_family_checks_hold(FamilyParams(166_000, 166_002, 166_001), unknot)
+    unresolved = []
+    for p, q, r in itertools.product(range(2, 13), repeat=3):
+        params = FamilyParams(p, q, r)
+        outcome = brute_force_conjugacy_oracle(*family_words(params))
+        if isinstance(outcome, Unresolved):
+            unresolved.append(params)
+            continue
+        distinct = certify(params).checks.conjugacy_distinct
+        assert distinct == isinstance(outcome, NotConjugate), (params, outcome)
+    assert len(unresolved) == 99
+    assert all(f.p + 1 == f.q for f in unresolved)
 
 
 def test_submodule_import_binds_the_module():
