@@ -320,10 +320,12 @@ def classify_closure(nf: B3NormalForm) -> ClosureClass:
     where the two syllables meet.  So a candidate's cyclic word holds at
     most one "Y" or at most one "Y2" (the tests check every candidate
     with 1 <= |k| <= 2000), and a word with more than one of each
-    matches neither candidate.
+    matches neither candidate.  Each search stops at the second
+    occurrence, "Y2" first, as it is the one a long generic word tends
+    to repeat early.
     """
     word = nf.cyclic_word
-    if word.count("Y") > 1 and word.count("Y2") > 1:
+    if _occurs_twice(word, "Y2") and _occurs_twice(word, "Y"):
         return GenericUnique()
     e = nf.exponent_sum
     for mu in (1, -1):
@@ -333,6 +335,15 @@ def classify_closure(nf: B3NormalForm) -> ClosureClass:
                 return TorusKnot2k(k, mu)
             return UnknotClass((k, mu) if k == mu else (1, -1))
     return GenericUnique()
+
+
+def _occurs_twice(word: tuple[str, ...], letter: str) -> bool:
+    """Whether ``letter`` occurs twice in ``word``, read up to its second."""
+    try:
+        word.index(letter, word.index(letter) + 1)
+    except ValueError:
+        return False
+    return True
 
 
 def kolee_both_signs(u: int, v: int, w: int, eps: int) -> bool:

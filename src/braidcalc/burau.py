@@ -7,17 +7,20 @@ list operations, and a product or an exact quotient of two of them is a
 schoolbook loop; the Alexander polynomial's division by 1 + t + ... +
 t^(n-1) takes stride-n prefix sums instead (``links``).  Kronecker
 packing, which holds a polynomial as one big integer, its value at a
-power of two, is used in two places only, and ``_unpacked`` is the one
-reader of packed integers in both: it splits an integer's bytes into
-digits of the proven width with one ``struct`` call and reads them with
-``map``, so no bytecode runs per digit.  The Bareiss determinant packs
-each operand once per elimination step, at one digit width w for the
-step, as its two values at t = 2^(w/2) and t = -2^(w/2) (Harvey's
-multipoint Kronecker substitution), so its integers are half as long as
-one value at 2^w.  Every entry is a difference of packed products and
-one divmod at each point; the quotient read from the two is accepted
-when its digits are too narrow to have carried into each other, which
-proves it exact without multiplying back.
+power of two, is used in two places only, and ``_chunks`` is the one
+splitter of packed integers in both: it cuts an integer's bytes into
+digits of the proven width with one ``struct`` call, so no bytecode runs
+per digit.  The Bareiss determinant packs its input once.  Each
+elimination step works at one digit width w for the step, on values at
+t = 2^(w/2) and t = -2^(w/2) (Harvey's multipoint Kronecker
+substitution), so its integers are half as long as one value at 2^w.
+Every entry is a difference of packed products and one divmod at each
+point; the quotient read from the two is accepted when its digits are
+too narrow to have carried into each other, which proves it exact
+without multiplying back.  It then stays packed, as the digit chunks of
+its even and odd coefficients, until a later step re-cuts them to that
+step's width by whole bytes; only the last entry, and any entry that a
+refused quotient sends to ``divexact``, is read back as a ``Laurent``.
 
 The other is the Burau walk.  The reduced Burau matrix of a word on n
 strands is (n-1) x (n-1) and is built column by column, one syllable (a
@@ -237,39 +240,50 @@ def _trimmed(low: int, dense: list[int]) -> Laurent:
 # unsigned bytes that to_bytes/from_bytes read and write.
 
 
-def _offsets(n: int, nb: int) -> int:
-    """The offset half in each of n digits of nb bytes."""
-    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * n, "little")
+def _offsets(n: int, nb: int, half: int) -> int:
+    """The offset ``half`` in each of n digits of nb bytes."""
+    return int.from_bytes(half.to_bytes(nb, "little") * n, "little")
 
 
 def _pack(coeffs: tuple[int, ...] | list[int], nb: int) -> int:
     half = 1 << (8 * nb - 1)
     data = b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - _offsets(len(coeffs), nb)
+    return int.from_bytes(data, "little") - _offsets(len(coeffs), nb, half)
+
+
+def _chunks(value: int, nb: int) -> tuple[bytes, ...]:
+    """The signed digits of ``value`` at t = 2^(8*nb), highest first.
+
+    Each digit d in [-2^(w-1), 2^(w-1)), w = 8*nb, is the big-endian
+    chunk of nb bytes that holds d + 2^(w-1), so chunks compare as their
+    digits do.  A value of b bits needs at most (b + 1) // w + 1 digits,
+    and the top one may be zero.  The offset bytes are split by one
+    ``Struct`` of n items of nb bytes, built for this call, as
+    ``struct.unpack`` would cache a compiled format per digit count.
+    """
+    if not value:
+        return ()
+    w = 8 * nb
+    n = (abs(value).bit_length() + 1) // w + 1
+    data = (value + _offsets(n, nb, 1 << (w - 1))).to_bytes(n * nb, "big")
+    return Struct(f"{nb}s" * n).unpack(data)
 
 
 def _unpacked(value: int, low: int, nb: int) -> Laurent:
     """The polynomial whose value at t = 2^(8*nb) is ``value``, times t^low.
 
     Every integer is one sum of signed digits in [-2^(w-1), 2^(w-1)),
-    w = 8*nb, and this reads it: a value of b bits needs at most
-    (b + 1) // w + 1 digits, and a zero top digit is trimmed.  Zero low
-    digits are dropped first, so only the digits from the lowest nonzero
-    one up are read.  The offset bytes are split into digits by one
-    ``Struct`` of n items of nb bytes, and each is read and shifted back
-    by ``map``, so no bytecode runs per digit.  The ``Struct`` is built
-    for this call, as ``struct.unpack`` would cache a compiled format per
-    digit count, each as large as its count.
+    w = 8*nb, and this reads them (``_chunks``), a zero top digit
+    trimmed.  Zero low digits are dropped first, so only the digits from
+    the lowest nonzero one up are read.  Each chunk is read and shifted
+    back by ``map``, so no bytecode runs per digit.
     """
     if not value:
         return _ZERO
     w = 8 * nb
     skip = ((value & -value).bit_length() - 1) // w
-    value >>= skip * w
-    n = (abs(value).bit_length() + 1) // w + 1
-    data = (value + _offsets(n, nb)).to_bytes(n * nb, "little")
-    chunks = Struct(f"{nb}s" * n).unpack(data)
-    digits = map(int.from_bytes, chunks, repeat("little"))
+    digits = list(map(int.from_bytes, _chunks(value >> skip * w, nb), repeat("big")))
+    digits.reverse()
     return _trimmed(low + skip, list(map(sub, digits, repeat(1 << (w - 1)))))
 
 
@@ -488,38 +502,129 @@ def _walk(
     return cols, low - scale
 
 
-def _two_points(coeffs: tuple[int, ...], nb: int) -> tuple[int, int]:
-    """A polynomial at t = 2^h and at t = -2^h, h = 4*nb.
+# A Bareiss entry stays packed from the step that computes it to the
+# steps that use it, as the tuple (low, top, size, even, odd): the entry
+# is t^low * (E(t^2) + t*O(t^2)), and ``even`` and ``odd`` hold the
+# digits of E and O as ``_chunks`` does, at one width nb.  Its lowest
+# coefficient is nonzero, so ``even`` is never empty.  ``top`` is the bit
+# length of its largest coefficient and ``size`` is at least its length.
+# A zero entry is None.
 
-    With E and O its even and odd coefficients packed at nb bytes, as
-    values at 2^(2h), the polynomial is E(t^2) + t*O(t^2), so its values
-    at the two points are E + 2^h*O and E - 2^h*O.
+
+def _entry(x: Laurent) -> tuple | None:
+    """``x`` as a packed entry, at the fewest bytes that hold its coefficients."""
+    c = x.coeffs
+    if not c:
+        return None
+    top = max(map(abs, c)).bit_length()
+    nb = top // 8 + 1
+    half = 1 << (8 * nb - 1)
+    return (
+        x.low,
+        top,
+        len(c),
+        tuple([(d + half).to_bytes(nb, "big") for d in c[0::2][::-1]]),
+        tuple([(d + half).to_bytes(nb, "big") for d in c[1::2][::-1]]),
+    )
+
+
+def _laurent(x: tuple | None) -> Laurent:
+    """The polynomial of a packed entry."""
+    if x is None:
+        return _ZERO
+    # the first point at 2*nb bytes is t = 2^(8*nb), where every
+    # coefficient is one signed digit of the chunks' nb bytes
+    nb = len(x[3][0])
+    return _unpacked(_two_points(x, 2 * nb)[0], x[0], nb)
+
+
+_FLIP = bytes([b ^ 0x80 for b in range(256)])
+
+
+def _value(chunks: tuple[bytes, ...], nb: int) -> int:
+    """The value at t = 2^(8*nb) of the digits that ``chunks`` hold.
+
+    The chunks are of some width old, each its digit d plus 2^(8*old - 1).
+    Widening pads each with nb - old zero bytes in front, so each digit
+    still carries the offset 2^(8*old - 1), now at the spacing of nb
+    bytes.  Narrowing keeps each chunk's low nb bytes, which hold d +
+    2^(8*old - 1) modulo 2^(8*nb), that is d modulo 2^(8*nb), and flips
+    their top bit, which adds the offset 2^(8*nb - 1): every digit the
+    caller narrows lies in [-2^(8*nb - 1), 2^(8*nb - 1)).  Either way
+    only whole bytes move, and no digit is read.
     """
-    even = _pack(coeffs[0::2], nb)
-    odd = _pack(coeffs[1::2], nb) << 4 * nb
+    if not chunks:
+        return 0
+    old = len(chunks[0])
+    if nb < old:
+        data = bytearray(b"".join(chunks))
+        for cut in range(old, nb, -1):
+            del data[::cut]
+        data[::nb] = data[::nb].translate(_FLIP)
+        old = nb
+    else:
+        # the first chunk's pad would be leading zero bytes
+        data = bytes(nb - old).join(chunks)
+    return int.from_bytes(data, "big") - _offsets(len(chunks), nb, 1 << (8 * old - 1))
+
+
+def _two_points(x: tuple, nb: int) -> tuple[int, int]:
+    """A packed entry at t = 2^h and at t = -2^h, h = 4*nb, with its
+    power t^low left out.
+
+    With E and O its halves at 2^(2h), the entry is E(t^2) + t*O(t^2), so
+    its values at the two points are E + 2^h*O and E - 2^h*O.
+    """
+    even = _value(x[3], nb)
+    odd = _value(x[4], nb) << 4 * nb
     return even + odd, even - odd
 
 
-def _interleaved(even: Laurent, odd: Laurent, low: int) -> Laurent:
-    """t^low * (even(t^2) + t*odd(t^2)), for ``even`` and ``odd`` with no
-    negative powers."""
-    ec, oc = even.coeffs, odd.coeffs
-    dense = [0] * (2 * max(even.low + len(ec), odd.low + len(oc)))
-    start = 2 * even.low
-    dense[start:start + 2 * len(ec):2] = ec
-    start = 2 * odd.low + 1
-    dense[start:start + 2 * len(oc):2] = oc
-    return _trimmed(low, dense)
+def _quotient(even: int, odd: int, low: int, nb: int) -> tuple:
+    """The packed entry t^low * (E(t^2) + t*O(t^2)), E and O the values
+    ``even`` and ``odd`` at t = 2^(8*nb), not both zero.
+
+    Low zero coefficients are trimmed exactly: the lowest nonzero one is
+    the 2s-th, from E's lowest nonzero digit, or the (2s + 1)-th, from
+    O's.  Dividing by t^(2s) shifts both halves by s digits; dividing by
+    t^(2s + 1) makes O, shifted by s digits, the new even half and E,
+    shifted by s + 1, the new odd half.  The largest coefficient is read
+    from the largest and smallest chunk, and the length is bounded by the
+    digit counts.
+    """
+    w = 8 * nb
+    if even:
+        s = ((even & -even).bit_length() - 1) // w * 2
+        if odd:
+            s = min(s, ((odd & -odd).bit_length() - 1) // w * 2 + 1)
+    else:
+        s = ((odd & -odd).bit_length() - 1) // w * 2 + 1
+    d = s >> 1
+    if s & 1:
+        even, odd = odd >> d * w, even >> (d + 1) * w
+    else:
+        even, odd = even >> d * w, odd >> d * w
+    even, odd = _chunks(even, nb), _chunks(odd, nb)
+    both = even + odd
+    half = 1 << (w - 1)
+    top = max(
+        int.from_bytes(max(both), "big") - half, half - int.from_bytes(min(both), "big")
+    )
+    return low + s, top.bit_length(), max(2 * len(even) - 1, 2 * len(odd)), even, odd
 
 
-def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
+def _bareiss_step(a: list[list[tuple | None]], k: int, prev: tuple) -> None:
     """Eliminate below the pivot a[k][k], whose predecessor was ``prev``.
 
-    Every a[i][j] with i, j > k becomes (a_kk*a_ij - a_ik*a_kj) / prev,
-    an exact quotient, and a[i][k] becomes zero.  One digit width w =
-    8*nb serves the whole step: with B the largest coefficient bits and
-    L the longest entry of the active submatrix, every numerator N has
-    coefficients below 2^(2B + bits(L) + 1), and the width fits prev too.
+    The entries are packed (``_entry``).  Every a[i][j] with i, j > k
+    becomes (a_kk*a_ij - a_ik*a_kj) / prev, an exact quotient, and
+    a[i][k] becomes zero.  One digit width w = 8*nb serves the whole
+    step: with B the largest coefficient bits and L the longest length
+    bound of the active submatrix, every numerator N has coefficients
+    below 2^(2B + bits(L) + 1), and the width fits prev too.  Every
+    entry the step reads is re-cut to nb bytes by whole bytes
+    (``_value``): each of its coefficients has at most B bits, and prev's
+    at most bits(max|prev|), so each fits a signed w-bit digit.
 
     The integers are values at the two points t = 2^h and t = -2^h,
     h = w/2, as in D. Harvey's multipoint Kronecker substitution ("Faster
@@ -527,53 +632,55 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
     J. Symbolic Comput. 44, 2009, arXiv:0712.4046).  Each is half as long
     as the value at 2^w, so a divmod costs about half as much and a
     product about two thirds.  The pivot, its row, each a_ik and prev
-    are packed once per step, at both points (``_two_points``).  At each
+    are re-cut once per step, at both points (``_two_points``).  At each
     point a numerator is the difference of two products, aligned by
     shifting whole digits of h bits; a shift by t^d also negates the
     value at -2^h when d is odd.  One divmod by prev at each point gives
-    q+ and q-, and the quotient q is read by ``_unpacked`` as two
-    polynomials at 2^w: its even coefficients from (q+ + q-)/2 and its
-    odd ones from (q+ - q-)/2^(h+1), interleaved.
+    q+ and q-, and the quotient q is read by ``_quotient`` as two
+    polynomials at 2^w, its even coefficients from (q+ + q-)/2 and its
+    odd ones from (q+ - q-)/2^(h+1), and stays packed.
 
     The read is accepted when prev is nonzero at both points, neither
     divmod leaves a remainder, q+ - q- is divisible by 2^(h+1) (so that
     q+ + q- is even), and bits(max|q|) + bits(max|prev|) + bits(min(len
-    q, len prev)) + 2 <= w.  Then q is q+ at 2^h and q- at -2^h, so
-    R = q*prev - N vanishes at both points, and R's even and odd parts,
-    (R(2^h) + R(-2^h))/2 and (R(2^h) - R(-2^h))/2^(h+1) at t = 2^w,
-    vanish at 2^w.  The width test makes every coefficient of q*prev a
-    signed w-bit digit, as every coefficient of N is.  So the even parts
-    of q*prev and N are two signed-digit expansions of one integer, as
-    are their odd parts; signed digits are unique, so R = 0.  By the
-    same argument a numerator that is zero at both points is zero.  Any
+    q, len prev)) + 2 <= w, with the lengths' upper bounds.  Then q is q+
+    at 2^h and q- at -2^h, so R = q*prev - N vanishes at both points,
+    and R's even and odd parts, (R(2^h) + R(-2^h))/2 and (R(2^h) -
+    R(-2^h))/2^(h+1) at t = 2^w, vanish at 2^w.  The width test makes
+    every coefficient of q*prev a signed w-bit digit, as every
+    coefficient of N is.  So the even parts of q*prev and N are two
+    signed-digit expansions of one integer, as are their odd parts;
+    signed digits are unique, so R = 0.  By the same argument a
+    numerator that is zero at both points is zero.  Trimming q's low
+    zero coefficients changes its low power, not its polynomial.  Any
     refusal sends that one entry to ``*`` and ``divexact``.
     """
     size = len(a)
-    active = [x.coeffs for row in a[k:] for x in row[k:] if x.coeffs]
-    top = max([max(map(abs, c)) for c in active]).bit_length()
-    longest = max(map(len, active)).bit_length()
-    div_bits = max(map(abs, prev.coeffs)).bit_length()
+    active = [x for row in a[k:] for x in row[k:] if x]
+    top = max([x[1] for x in active])
+    longest = max([x[2] for x in active]).bit_length()
+    prev_low, div_bits, div_len = prev[:3]
     nb = (max(2 * top + longest, div_bits) + 2 + 7) // 8
     width, half = 8 * nb, 4 * nb
     odd_mask = (1 << half + 1) - 1
-    div_plus, div_minus = _two_points(prev.coeffs, nb)
-    div_len = len(prev.coeffs)
+    div_plus, div_minus = _two_points(prev, nb)
     pivot = a[k][k]
-    piv_plus, piv_minus = _two_points(pivot.coeffs, nb)
-    row = [(x.low, *_two_points(x.coeffs, nb)) if x.coeffs else None for x in a[k][k + 1:]]
+    piv_plus, piv_minus = _two_points(pivot, nb)
+    row = [(x[0], *_two_points(x, nb)) if x else None for x in a[k][k + 1:]]
     for i in range(k + 1, size):
         ai = a[i]
         c = ai[k]
-        col_plus, col_minus = _two_points(c.coeffs, nb)
+        if c:
+            col_plus, col_minus = _two_points(c, nb)
         for j, r in enumerate(row, k + 1):
             x = ai[j]
             # (low, +2^h value, -2^h value) of a_kk*a_ij and of -a_ik*a_kj
             terms = []
-            if x.coeffs:
-                x_plus, x_minus = _two_points(x.coeffs, nb)
-                terms.append((pivot.low + x.low, piv_plus * x_plus, piv_minus * x_minus))
-            if c.coeffs and r:
-                terms.append((c.low + r[0], -col_plus * r[1], -col_minus * r[2]))
+            if x:
+                x_plus, x_minus = _two_points(x, nb)
+                terms.append((pivot[0] + x[0], piv_plus * x_plus, piv_minus * x_minus))
+            if c and r:
+                terms.append((c[0] + r[0], -col_plus * r[1], -col_minus * r[2]))
             low = min([t[0] for t in terms], default=0)
             num_plus = num_minus = 0
             for t_low, plus, minus in terms:
@@ -581,7 +688,7 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
                 num_plus += plus << half * d
                 num_minus += (-minus if d % 2 else minus) << half * d
             if not (num_plus or num_minus):
-                ai[j] = _ZERO
+                ai[j] = None
                 continue
             q = None
             if div_plus and div_minus:
@@ -589,39 +696,34 @@ def _bareiss_step(a: list[list[Laurent]], k: int, prev: Laurent) -> None:
                 q_minus, rem_minus = divmod(num_minus, div_minus)
                 diff = q_plus - q_minus
                 if not (rem_plus or rem_minus or diff & odd_mask):
-                    q = _interleaved(
-                        _unpacked(q_plus + q_minus >> 1, 0, nb),
-                        _unpacked(diff >> half + 1, 0, nb),
-                        low - prev.low,
-                    )
-                    if (
-                        max(map(abs, q.coeffs)).bit_length() + div_bits
-                        + min(len(q.coeffs), div_len).bit_length() + 2 > width
-                    ):
+                    q = _quotient(q_plus + q_minus >> 1, diff >> half + 1, low - prev_low, nb)
+                    if q[1] + div_bits + min(q[2], div_len).bit_length() + 2 > width:
                         q = None
             if q is None:
-                q = (pivot * x - c * a[k][j]).divexact(prev)
+                num = _laurent(pivot) * _laurent(x) - _laurent(c) * _laurent(a[k][j])
+                q = _entry(num.divexact(_laurent(prev)))
             ai[j] = q
-        ai[k] = _ZERO
+        ai[k] = None
 
 
 def determinant(m: Matrix) -> Laurent:
     """Fraction-free Bareiss determinant; exact over Z[t, t^-1].
 
-    Each elimination step runs on Kronecker-packed integers at two
-    points, t = 2^(w/2) and t = -2^(w/2), one digit width w per step
-    (see ``_bareiss_step``).
+    The entries are packed once (``_entry``) and stay packed between
+    elimination steps.  Each step runs on Kronecker-packed integers at
+    two points, t = 2^(w/2) and t = -2^(w/2), one digit width w per
+    step (see ``_bareiss_step``).
     """
     size = len(m)
     if size == 0:
         return Laurent.one()
-    a = [list(row) for row in m]
+    a = [[_entry(x) for x in row] for row in m]
     sign = 1
-    prev = Laurent.one()
+    prev = _entry(_ONE)
     for k in range(size - 1):
-        if a[k][k].is_zero():
+        if a[k][k] is None:
             for r in range(k + 1, size):
-                if not a[r][k].is_zero():
+                if a[r][k] is not None:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
@@ -629,5 +731,5 @@ def determinant(m: Matrix) -> Laurent:
                 return Laurent.zero()
         _bareiss_step(a, k, prev)
         prev = a[k][k]
-    det = a[size - 1][size - 1]
+    det = _laurent(a[size - 1][size - 1])
     return det if sign == 1 else -det

@@ -204,6 +204,15 @@ def test_exceptional_candidates_fail_the_shape_test():
             assert not isinstance(classify_closure(nf), GenericUnique), (k, mu)
 
 
+@pytest.mark.parametrize(
+    "word, twice",
+    [((), False), (("Y",), False), (("Y2", "Y"), False), (("Y", "X", "Y"), True),
+     (("X", "Y2", "Y", "Y2"), True)],
+)
+def test_occurs_twice(word, twice):
+    assert b3._occurs_twice(word, word[-1] if word else "Y") == twice
+
+
 def test_classify_generic():
     assert classify_closure(normal_form(TX_PLUS)) == GenericUnique()
     assert classify_closure(normal_form(TX_MINUS)) == GenericUnique()

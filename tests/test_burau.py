@@ -13,6 +13,8 @@ import braidcalc.b3 as b3
 import braidcalc.burau as burau
 from braidcalc.burau import (
     Laurent,
+    _entry,
+    _laurent,
     _pack,
     _unpacked,
     burau_matrix,
@@ -359,6 +361,22 @@ def test_callers_read_burau_functions_at_call_time(monkeypatch):
     assert calls == {"burau_matrix": 1, "determinant": 1}
 
 
+def test_trace_of_a_word_read_backwards():
+    """tr rho(rev w) = tr rho(w) for the reduced Burau matrix, on 300
+    seeded words of 2-8 strands and up to 40 letters: the reduced trace
+    is the unreduced one minus 1, and D = diag(1, t, ..., t^(n-1))
+    conjugates every unreduced generator to its transpose."""
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        letters = tuple(
+            (rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 40))
+        )
+        w = BraidWord(n, letters)
+        backward = BraidWord(n, letters[::-1])
+        assert matrix_trace(burau_matrix(backward)) == matrix_trace(burau_matrix(w)), w
+
+
 @pytest.mark.parametrize("text", ["n=1", "n=2 s1", "n=4 s1 s3", "n=5"])
 def test_burau_trace_takes_three_strands_only(text):
     with pytest.raises(ValueError):
@@ -640,16 +658,30 @@ def test_determinant_matches_schoolbook_bareiss(m):
 @given(laurent_matrices())
 def test_determinant_falls_back_when_a_quotient_is_refused(m):
     """With every packed quotient read too wide, each entry takes Laurent
-    arithmetic: the read gains a coefficient of 2^(8*nb) at its lowest
-    power, which no width test accepts."""
-    unpacked = burau._unpacked
+    arithmetic: the read reports a largest coefficient of 8*nb bits,
+    which no width test accepts, so every read is followed by a
+    ``divexact``."""
+    reads, divisions = [], []
+    quotient, divexact = burau._quotient, Laurent.divexact
 
-    def too_wide(value, low, nb):
-        return unpacked(value, low, nb) + Laurent.term(1 << 8 * nb, low)
+    def too_wide(even, odd, low, nb):
+        reads.append(nb)
+        x = quotient(even, odd, low, nb)
+        return (x[0], 8 * nb, *x[2:])
+
+    def counted(self, divisor):
+        divisions.append(divisor)
+        return divexact(self, divisor)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(burau, "_unpacked", too_wide)
+        patch.setattr(burau, "_quotient", too_wide)
+        patch.setattr(Laurent, "divexact", counted)
         assert determinant(m) == _bareiss_reference(m)
+    assert len(divisions) >= len(reads)
+
+
+def _entries(rows):
+    return [[_entry(x) for x in row] for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -669,28 +701,141 @@ def test_bareiss_step_falls_back_where_prev_vanishes_at_a_point(monkeypatch, cor
         return divexact(self, divisor)
 
     monkeypatch.setattr(Laurent, "divexact", counted)
-    a = [[ONE, Laurent.term(corner)], [Laurent.term(16), T]]
-    burau._bareiss_step(a, 0, prev)
-    assert a[1] == [Laurent.zero(), ONE]
+    a = _entries([[ONE, Laurent.term(corner)], [Laurent.term(16), T]])
+    burau._bareiss_step(a, 0, _entry(prev))
+    assert [_laurent(x) for x in a[1]] == [Laurent.zero(), ONE]
     assert fallbacks == [prev]
 
 
 @pytest.mark.parametrize(
-    "num, prev",
+    "num, prev, check",
     [
-        ((-6, -6), (262, 7)),  # a remainder at t = 256 only
-        ((-9, -4), (-247, 5)),  # a remainder at t = -256 only
-        ((-8, 5), (-4,)),  # no remainders, but the odd coefficient is -5/4
+        ((-6, -6), (262, 7), 0),  # a remainder at t = 256 only
+        ((-9, -4), (-247, 5), 1),  # a remainder at t = -256 only
+        ((-8, 5), (-4,), 2),  # no remainders, but the odd coefficient is -5/4
     ],
 )
-def test_bareiss_step_refuses_an_inexact_quotient(num, prev):
+def test_bareiss_step_refuses_an_inexact_quotient(monkeypatch, num, prev, check):
     """The corner 16 sets a width of 16 bits, so the points are t = 256
     and t = -256.  Each quotient num / prev is refused by one check
-    alone: what the two points give otherwise passes the width test.
+    alone, of the remainder at 256, the remainder at -256 and q+ - q-
+    divisible by 2^9; what the two points give passes the width test.
     The fallback's ``divexact`` then finds it inexact."""
-    a = [[ONE, Laurent.term(16)], [Laurent.zero(), Laurent(0, num)]]
+    num_plus, num_minus = burau._two_points(_entry(Laurent(0, num)), 2)
+    div_plus, div_minus = burau._two_points(_entry(Laurent(0, prev)), 2)
+    (q_plus, rem_plus), (q_minus, rem_minus) = (
+        divmod(num_plus, div_plus), divmod(num_minus, div_minus)
+    )
+    diff = q_plus - q_minus
+    fails = [rem_plus != 0, rem_minus != 0, diff % 512 != 0]
+    assert [i for i, fail in enumerate(fails) if fail] == [check]
+    read = burau._quotient(q_plus + q_minus >> 1, diff >> 9, 0, 2)
+    bits = read[1] + max(map(abs, prev)).bit_length()
+    assert bits + min(read[2], len(prev)).bit_length() + 2 <= 16
+    a = _entries([[ONE, Laurent.term(16)], [Laurent.zero(), Laurent(0, num)]])
+    reads = []
+    quotient = burau._quotient
+
+    def recorded(*args):
+        reads.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(burau, "_quotient", recorded)
     with pytest.raises(ValueError):
-        burau._bareiss_step(a, 0, Laurent(0, prev))
+        burau._bareiss_step(a, 0, _entry(Laurent(0, prev)))
+    assert reads == []
+
+
+def _near_rank_one(rng, size):
+    """u_i * v_j plus entries of coefficients in -1..1, u and v of up to 4
+    coefficients of up to 2^60 and lows in -2..5.  The big products
+    cancel in every 2 x 2 minor, so step 1 is narrower than step 0, and
+    small minors often lose their lowest coefficient."""
+    big = 1 << rng.randint(10, 60)
+
+    def poly(top, n):
+        return laurent({rng.randint(-2, 2) + i: rng.randint(-top, top) for i in range(n)})
+
+    u = [poly(big, rng.randint(1, 4)) for _ in range(size)]
+    v = [poly(big, rng.randint(1, 4)) for _ in range(size)]
+    return [[x * y + poly(1, rng.randint(0, 3)) for y in v] for x in u]
+
+
+def test_determinant_matches_reference_across_narrowing_steps_and_odd_trims(monkeypatch):
+    """60 seeded matrices of sizes 3-6 (``_near_rank_one``).  Some step
+    re-cuts entries to fewer bytes than they were read at, and some
+    quotient's lowest even coefficient is zero, so its trim swaps the
+    halves; the determinants match the Laurent route."""
+    narrowed, odd_trims = [], []
+    value, quotient = burau._value, burau._quotient
+
+    def recording_value(chunks, nb):
+        if chunks and nb < len(chunks[0]):
+            narrowed.append(nb)
+        return value(chunks, nb)
+
+    def recording_quotient(even, odd, low, nb):
+        x = quotient(even, odd, low, nb)
+        if (x[0] - low) % 2:
+            odd_trims.append(x[0] - low)
+        return x
+
+    monkeypatch.setattr(burau, "_value", recording_value)
+    monkeypatch.setattr(burau, "_quotient", recording_quotient)
+    rng = random.Random(33)
+    for _ in range(60):
+        m = _near_rank_one(rng, rng.randint(3, 6))
+        assert determinant(m) == _bareiss_reference(m)
+    assert narrowed and odd_trims
+
+
+def test_recut_matches_unpacked_then_packed():
+    """2 000 seeded values of digits at one width, often zero or at the
+    ends of the narrower width's range, re-cut to another width of 1 to
+    24 bytes by whole bytes: the same integer as reading every digit
+    with ``_unpacked`` and packing it again with ``_pack``."""
+    rng = random.Random(33)
+    for i in range(2_000):
+        old, nb = rng.randint(1, 24), rng.randint(1, 24)
+        half = 1 << (8 * min(old, nb) - 1)
+        n = rng.randint(1, 300 if i % 50 == 0 else 30)
+        digits = [
+            rng.choice((0, -half, half - 1, rng.randrange(-half, half))) for _ in range(n)
+        ]
+        value = _from_digits(digits, old)
+        q = _unpacked(value, 0, old)
+        expected = _pack(q.coeffs, nb) << 8 * nb * q.low if q.coeffs else 0
+        assert burau._value(burau._chunks(value, old), nb) == expected, (digits, old, nb)
+
+
+def test_packed_entries_read_back():
+    """A packed entry reads back as its polynomial, and a quotient read
+    from its halves, at any width, is trimmed to the same polynomial,
+    with the same low power and largest coefficient and a length bound
+    at least its length."""
+    rng = random.Random(33)
+    for _ in range(500):
+        x = laurent({rng.randint(-6, 6): rng.randint(-(2**70), 2**70) for _ in range(8)})
+        entry = _entry(x)
+        assert _laurent(entry) == x
+        if entry is None:
+            continue
+        low, top, size, even, odd = entry
+        assert top == max(map(abs, x.coeffs)).bit_length() and size == len(x.coeffs)
+        nb = rng.randint(len(even[0]), 24)
+        shift = rng.randint(0, 3)
+        read = burau._quotient(
+            burau._value(even, nb) << 8 * nb * shift,
+            burau._value(odd, nb) << 8 * nb * shift,
+            low - 2 * shift,
+            nb,
+        )
+        assert _laurent(read) == x and read[:2] == (low, top) and read[2] >= size
+        # the same polynomial times t, read with its halves swapped
+        read = burau._quotient(
+            burau._value(odd, nb) << 8 * nb, burau._value(even, nb), low - 1, nb
+        )
+        assert _laurent(read) == x and read[2] >= size
 
 
 def _workload_word(rng, n, length):

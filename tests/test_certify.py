@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.b3 import NotConjugate, Unresolved, brute_force_conjugacy_oracle
-from braidcalc.burau import _packed_trace
+import braidcalc.b3 as b3
+from braidcalc.b3 import Conjugate, NotConjugate, Unresolved, brute_force_conjugacy_oracle
+from braidcalc.burau import _packed_trace, burau_matrix
 from braidcalc.certify import (
     SWEEP_MAX,
     VERDICT_CERTIFIED,
@@ -271,6 +272,21 @@ def test_family_checks_hold_by_routes_without_normal_forms():
     unknot = alexander_polynomial(parse_word("n=3 s1 s2"))
     for params in sorted(triples, key=lambda f: (f.p, f.q, f.r)):
         _assert_family_checks_hold(params, unknot)
+
+
+def test_oracle_radius_reaches_the_family_pair_with_p_plus_one_equal_q(monkeypatch):
+    """(p, q, r) = (2, 3, 4) has p + 1 = q, so its flype pair is one
+    conjugacy class.  The shortest conjugator has 6 letters: the oracle
+    proves the pair ``Conjugate`` at ``CONJUGATOR_BOUND`` = 6 and returns
+    ``Unresolved`` at 5, so a smaller search radius shows here."""
+    params = FamilyParams(2, 3, 4)
+    plus, minus = family_words(params)
+    out = brute_force_conjugacy_oracle(plus, minus)
+    assert isinstance(out, Conjugate) and len(out.conjugator) == 6
+    assert burau_matrix(plus.conjugated_by(out.conjugator)) == burau_matrix(minus)
+    assert not certify(params).checks.conjugacy_distinct
+    monkeypatch.setattr(b3, "CONJUGATOR_BOUND", 5)
+    assert brute_force_conjugacy_oracle(plus, minus) == Unresolved()
 
 
 @pytest.mark.slow

@@ -218,6 +218,36 @@ def _unreduced_burau(word: BraidWord):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def test_diagonal_conjugates_unreduced_generators_to_their_transposes():
+    """D = diag(1, t, ..., t^(n-1)) gives D rho(g) D^-1 = rho(g)^T for
+    every generator g = sigma_i^+-1 on 2-8 strands, so rho(rev w) =
+    D^-1 rho(w)^T D for every word w read backwards, as checked on
+    seeded words: the closures of w and rev w have one Alexander
+    polynomial."""
+    def conjugate_is_transpose(b, shift):
+        # (D^shift b D^-shift)[r][c] = t^(shift*(r - c)) b[r][c], against b[c][r]
+        n = len(b)
+        return all(
+            b[r][c] * Laurent.term(1, shift * (r - c)) == b[c][r]
+            for r in range(n) for c in range(n)
+        )
+
+    for n in range(2, 9):
+        for i in range(1, n):
+            for sign in (1, -1):
+                assert conjugate_is_transpose(_unreduced_burau(BraidWord(n, ((i, sign),))), 1)
+    rng = random.Random(21)
+    for _ in range(50):
+        w = _random_word(rng, rng.randint(2, 8), rng.randint(0, 12), 2)
+        forward = _unreduced_burau(w)
+        backward = _unreduced_burau(BraidWord(w.strands, w.letters[::-1]))
+        n = w.strands
+        assert all(
+            backward[r][c] == forward[c][r] * Laurent.term(1, c - r)
+            for r in range(n) for c in range(n)
+        ), w
+
+
 def _leibniz(m):
     total = Laurent.zero()
     for perm in permutations(range(len(m))):
