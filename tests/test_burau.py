@@ -714,6 +714,7 @@ def test_bareiss_step_falls_back_where_prev_vanishes_at_a_point(monkeypatch, cor
         ((-9, -4), (-247, 5), 1),  # a remainder at t = -256 only
         ((-8, 5), (-4,), 2),  # no remainders, but the odd coefficient is -5/4
     ],
+    ids=["num0-prev0", "num1-prev1", "num2-prev2"],
 )
 def test_bareiss_step_refuses_an_inexact_quotient(monkeypatch, num, prev, check):
     """The corner 16 sets a width of 16 bits, so the points are t = 256
